@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
+    _NOISE_SEED_OFFSET,
     CampaignConfig,
     ConfigError,
     make_pilot,
@@ -65,7 +66,7 @@ def _cmd_simulate(cfg: CampaignConfig, args) -> int:
     pilot = make_pilot(cfg)
     snr_db = cfg.snr_db_list[0] if args.snr_db is None else args.snr_db
     n0 = snr_to_n0(h, pilot, snr_db)
-    noise_seed = cfg.base_seed + 1_000_000_007
+    noise_seed = cfg.base_seed + _NOISE_SEED_OFFSET
     if cfg.mode == "digital":
         _, obs = receive_digital(h, pilot, n0, noise_seed)
     else:

@@ -2,8 +2,16 @@
 
 Single-tone frequency estimation via the shift-invariance (ESPRIT) method,
 Vandermonde steering vectors, exact maximization of trigonometric-polynomial
-ratios on the unit circle by companion-matrix rooting of the derivative, and
-a 2-D alternating coordinate descent built on that exact 1-D step.
+ratios on the unit circle, and a 2-D alternating coordinate descent built on
+that exact 1-D step.
+
+The exact 1-D step has two sources of candidate maximizers. When the
+denominator is constant, the objective is a trigonometric polynomial of
+degree D: an FFT grid, Bernstein's inequality (|J''| <= D^2 max J,
+|J'''| <= D^3 max J) and a bracketed Newton polish certify its global
+maximum. Ratios with a non-constant denominator, and constant-denominator
+objectives whose certificate fails, root the derivative through a companion
+matrix instead.
 """
 
 from __future__ import annotations
@@ -30,6 +38,13 @@ __all__ = [
 # Half-step offset keeps the samples away from rational zeros of DFT-built
 # denominators (which sit exactly at multiples of 2*pi/N).
 _FALLBACK_GRID = 4096
+# Certified 1-D step on constant denominators (_certified_candidates): a slice
+# with more grid candidates than _MAX_CERTIFIED goes to rooting instead, and
+# _CERT_ROUNDOFF widens the candidate threshold by the FFT's rounding.
+_MAX_CERTIFIED = 64
+_CERT_ROUNDOFF = 1e-12
+_NEWTON_MAX_STEPS = 50
+_NEWTON_TOL = 1e-13
 
 
 def _wrap(omega):
@@ -252,19 +267,88 @@ def _polish_stationary(h: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     return _wrap(out)
 
 
+def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarray) -> np.ndarray | None:
+    """Stationary points of a constant-denominator J that provably include
+    its global maximizer, found from the uniform grid ``grid_w``/``grid_v``;
+    None when the certificate fails.
+
+    J = |f|^2 / d_0 is a nonnegative trigonometric polynomial of degree D, so
+    Bernstein's inequality bounds |J''| by D^2 max J and |J'''| by
+    D^3 max J. With grid spacing s the grid point nearest the maximizer is
+    then within eps = (D s)^2 / 8 of max J, relatively, and every grid point
+    within eps of the grid maximum G is a candidate. Every candidate w_i
+    must certify J strictly concave on the bracket [w_i - s, w_i + s]:
+    J''(w_i) + s D^3 G / (1 - eps) < 0. A maximizer within s/2 of w_i would
+    then make J' fall from + to - across the bracket, so a bracket without
+    that sign change is dropped; the others are polished by bracketed Newton
+    on J'.
+    """
+    c = np.trim_zeros(r.num, "b")
+    if r.den.size:
+        c = c / np.sqrt(r.den[0].real)
+    deg = c.size - 1
+    step = 2.0 * np.pi / grid_v.size
+    if deg < 1 or deg * step >= 1.0:  # the concavity test needs s D^3 < D^2
+        return None
+    eps = (deg * step) ** 2 / 8.0 + _CERT_ROUNDOFF
+    gmax = float(np.max(grid_v))
+    idx = np.flatnonzero(grid_v >= (1.0 - eps) * gmax)
+    if idx.size > _MAX_CERTIFIED:
+        return None
+    k = np.arange(deg + 1)
+    c1 = 1j * k * c
+    c2 = 1j * k * c1
+
+    def slope_curvature(w):
+        e = np.exp(1j * np.outer(w, k))
+        f, f1, f2 = e @ c, e @ c1, e @ c2
+        return 2.0 * np.real(np.conj(f) * f1), 2.0 * (np.abs(f1) ** 2 + np.real(np.conj(f) * f2))
+
+    w = grid_w[idx]
+    lo, hi = w - step, w + step
+    n = w.size
+    d1, d2 = slope_curvature(np.concatenate([lo, hi, w]))
+    if np.any(d2[2 * n :] + step * deg**3 * gmax / (1.0 - eps) >= 0):
+        return None
+    falling = (d1[:n] > 0) & (d1[n : 2 * n] < 0)
+    if not np.any(falling):
+        return None
+    w, lo, hi = w[falling], lo[falling], hi[falling]
+    for _ in range(_NEWTON_MAX_STEPS):
+        d1, d2 = slope_curvature(w)
+        rising = d1 > 0
+        lo = np.where(rising, w, lo)
+        hi = np.where(rising, hi, w)
+        nxt = w - d1 / d2
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        done = np.all(np.abs(nxt - w) <= _NEWTON_TOL)
+        w = nxt
+        if done:
+            break
+    return _wrap(w)
+
+
 def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     """Global maximizer of J(w) over (-pi, pi].
 
-    The derivative of J is cleared to a single polynomial whose roots are
-    found as companion-matrix eigenvalues; roots within 1e-6 of the unit
-    circle are projected onto it and evaluated together with the best point
-    of a dense uniform fallback grid. Ties break toward the smallest |w|.
+    Candidates for the maximizer come from one of two sources. For a constant
+    denominator (``den.size <= 1``), J is a trigonometric polynomial and the
+    4096-point FFT grid, with Bernstein's inequality and a bracketed Newton
+    polish, certifies a few stationary points (see
+    :func:`_certified_candidates`). Ratio objectives, and constant-denominator
+    ones whose certificate fails, clear the derivative of J to a single
+    polynomial whose roots are found as companion-matrix eigenvalues; roots
+    within 1e-6 of the unit circle are projected onto it. The candidates are
+    evaluated together with the best grid point. Ties break toward the
+    smallest |w|.
     """
     if not np.any(r.num):
         warnings.warn("objective numerator is identically zero", RuntimeWarning, stacklevel=2)
         return 0.0, 0.0
-    cands = _stationary_candidates(r)
     grid_w, grid_v = _grid_values(r, _FALLBACK_GRID)
+    cands = _certified_candidates(r, grid_w, grid_v) if r.den.size <= 1 else None
+    if cands is None:
+        cands = _stationary_candidates(r)
     best_grid = grid_w[int(np.argmax(grid_v))]
     omegas = np.concatenate([cands, [best_grid]])
     vals = eval_ratio(r, omegas)

@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from cpchan.harmonic import (
     AcdConfig,
     TrigPolyRatio,
+    _certified_candidates,
+    _grid_values,
+    _stationary_candidates,
     acd_2d,
     esprit_tone,
     eval_ratio,
@@ -126,6 +129,59 @@ def test_line_search_degree7_vs_dense_grid():
     r = _random_ratio(rng, 7, 4)
     _, value = max_unit_circle(r)
     assert value >= _grid_max(r, 1_000_000) - 1e-9 * max(1.0, value)
+
+
+def _rooting_max(r):
+    """Reference 1-D step by companion rooting alone: (argmax, max, tied argmaxes)."""
+    grid_w, grid_v = _grid_values(r, 4096)
+    omegas = np.concatenate([_stationary_candidates(r), [grid_w[int(np.argmax(grid_v))]]])
+    vals = eval_ratio(r, omegas)
+    ties = omegas[vals >= np.max(vals) * (1.0 - 1e-12)]
+    best = float(ties[int(np.argmin(np.abs(ties)))])
+    return best, float(eval_ratio(r, np.array([best]))[0]), ties
+
+
+def _certifies(r):
+    return _certified_candidates(r, *_grid_values(r, 4096)) is not None
+
+
+@pytest.mark.parametrize(("length", "min_certified"), [(2, 20), (8, 20), (31, 20), (64, 15), (128, 1)])
+def test_certified_step_matches_rooting(length, min_certified):
+    """Constant-denominator slices: the certified grid path agrees with rooting."""
+    certified = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        r = TrigPolyRatio(_crandn(rng, length), np.array([rng.uniform(0.5, 2.0)]))
+        certified += _certifies(r)
+        omega, value = max_unit_circle(r)
+        ref_omega, ref_value, ties = _rooting_max(r)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        if np.ptp(np.angle(np.exp(1j * (ties - ref_omega)))) < 1e-6:  # no tie
+            assert abs(np.angle(np.exp(1j * (omega - ref_omega)))) <= 1e-9
+    assert certified >= min_certified
+
+
+def test_certified_step_on_pure_tone():
+    omega, value = max_unit_circle(TrigPolyRatio(np.exp(-0.7j * np.arange(64)), np.array([4.0])))
+    assert omega == pytest.approx(0.7, abs=1e-12)
+    assert value == pytest.approx(64**2 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "num",
+    [
+        np.array([0.0, 0.0, 1.5j]),  # monomial: flat J, every grid point is a candidate
+        np.concatenate([np.zeros(652), [1.0, 1.0]]),  # degree 653: D * 2pi/4096 >= 1
+        _crandn(np.random.default_rng(7), 200),  # degree 199: no bracket certifies concave
+    ],
+    ids=["monomial", "degree-653", "random-degree-199"],
+)
+def test_certificate_failure_falls_back_to_rooting(num):
+    r = TrigPolyRatio(num)
+    assert not _certifies(r)
+    omega, value = max_unit_circle(r)
+    ref_omega, ref_value, _ = _rooting_max(r)
+    assert (omega, value) == (ref_omega, ref_value)
 
 
 def test_denominator_positivity_enforced():
