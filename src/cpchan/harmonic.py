@@ -28,6 +28,7 @@ __all__ = [
     "AcdConfig",
     "AcdResult",
     "vandermonde",
+    "wrap_angle",
     "esprit_tone",
     "eval_ratio",
     "max_unit_circle",
@@ -47,9 +48,9 @@ _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 1e-13
 
 
-def _wrap(omega):
+def wrap_angle(x):
     """Wrap angles to (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(omega, dtype=float)))
+    return np.angle(np.exp(1j * np.asarray(x, dtype=float)))
 
 
 def _full_laurent(half: np.ndarray) -> tuple[np.ndarray, int]:
@@ -101,12 +102,6 @@ class TrigPolyRatio:
                 gmin = float(np.min(_den_grid(den, _FALLBACK_GRID)))
             if gmin <= 0:
                 raise ValueError(f"denominator is not strictly positive (min {gmin:g} on check grid)")
-
-    def _den_values(self, omega: np.ndarray) -> np.ndarray:
-        if self.den.size == 0:
-            return np.ones(np.shape(omega))
-        full, off = _full_laurent(self.den)
-        return np.real(_laurent_values(full, off, omega))
 
 
 @dataclass(frozen=True)
@@ -170,22 +165,23 @@ def eval_ratio(r: TrigPolyRatio, omega) -> np.ndarray:
     num = np.abs(npoly.polyval(z, r.num)) ** 2
     if r.den.size == 0:
         return num
-    g = r._den_values(omega)
+    full, off = _full_laurent(r.den)
+    g = np.real(_laurent_values(full, off, omega))
     out = np.zeros_like(num)
     np.divide(num, g, out=out, where=g > 0)
     return out
 
 
 @lru_cache(maxsize=32)
-def _offset_grid(n: int) -> np.ndarray:
-    w = _wrap(2.0 * np.pi * (np.arange(n) + 0.5) / n)
+def _offset_grid_raw(n: int) -> np.ndarray:
+    w = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     w.setflags(write=False)
     return w
 
 
 @lru_cache(maxsize=32)
-def _offset_grid_raw(n: int) -> np.ndarray:
-    w = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+def _offset_grid(n: int) -> np.ndarray:
+    w = wrap_angle(_offset_grid_raw(n))
     w.setflags(write=False)
     return w
 
@@ -264,7 +260,7 @@ def _polish_stationary(h: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         cand = out - step
         better = np.abs(np.real(_laurent_values(h, off, cand))) < np.abs(fv)
         out = np.where(better, cand, out)
-    return _wrap(out)
+    return wrap_angle(out)
 
 
 def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarray) -> np.ndarray | None:
@@ -325,7 +321,7 @@ def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarr
         w = nxt
         if done:
             break
-    return _wrap(w)
+    return wrap_angle(w)
 
 
 def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
@@ -427,6 +423,6 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
             if jcur - j_sweep <= cfg.rel_tol * max(abs(j_sweep), 1e-300):
                 break
         if best is None or jcur > best.objective:
-            best = AcdResult(float(_wrap(wa)), float(_wrap(wb)), jcur, history)
+            best = AcdResult(float(wrap_angle(wa)), float(wrap_angle(wb)), jcur, history)
     assert best is not None
     return best

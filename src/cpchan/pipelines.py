@@ -1,10 +1,17 @@
-"""Parametric channel estimation pipelines.
+"""Parametric channel estimation for both receiver architectures.
 
-Both receiver architectures follow the same sequence: model-order detection,
-CP decomposition, per-component estimation of the directly identifiable
-frequencies, least-squares refinement of the remaining factor, and a 2-D
-alternating-coordinate-descent fit of the last two frequencies with a
-closed-form gain. The per-component stages are independent of each other.
+One estimator runs model-order detection, CP decomposition and an independent
+per-component stage. Each component's directly identifiable frequencies are
+estimated, the remaining factor vector a is refit by least squares, and the
+last two frequencies come from a 2-D alternating-coordinate-descent fit of
+
+    J(w, s) = |sum_n conj(a_n) e^{jnw} (X e^{jvs})_n|^2 / ||X e^{jvs}||^2
+
+with a closed-form gain. Digital receiver: X is the precoder and n runs over
+symbols; ESPRIT gives delay and arrival, and the symbol mode is refit.
+Hybrid receiver: X is the pilot waveform and n runs over subcarriers; ESPRIT
+gives Doppler, the combiner ratio gives arrival, and the subcarrier mode is
+refit. The per-receiver step makes only these choices.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator knobs shared by both pipelines.
+    """Estimator knobs shared by both receivers.
 
     ``cp.rank`` is a placeholder; the solver is re-run with the detected
     model order. ``refine`` toggles the least-squares factor refinement
@@ -108,11 +115,6 @@ def refine_a1(component: np.ndarray, a2_hat: np.ndarray, a3_hat: np.ndarray) -> 
     return np.einsum("t,m,ntm->n", np.conj(a2_hat), np.conj(a3_hat), component) / denom
 
 
-# ---------------------------------------------------------------------------
-# digital (single-stream) pipeline
-# ---------------------------------------------------------------------------
-
-
 def _row_autocorr_half(rows: np.ndarray) -> np.ndarray:
     """Half coefficients of sum_rows |poly_row(e^{jw})|^2."""
     n = rows.shape[1]
@@ -122,161 +124,79 @@ def _row_autocorr_half(rows: np.ndarray) -> np.ndarray:
     return acc[n - 1 :]
 
 
-def _digital_slices(a2_hat: np.ndarray, pilot: PilotDigital):
-    """Exact 1-D restrictions of the Doppler/departure ratio objective.
+def _slices(a_hat: np.ndarray, x: np.ndarray):
+    """Exact 1-D restrictions of the 2-D ratio objective J(w, s).
 
-    Coordinate 0 is the Doppler frequency, coordinate 1 the departure
-    frequency. The restricted objective equals |f(e^{jw})|^2 / g(w) with the
-    numerator built so its modulus matches the matched-filter inner product.
+    Coordinate 0 is the frequency w along the rows of X, coordinate 1 the
+    departure frequency s. The restricted objective equals |f(e^{jw})|^2 / g(w)
+    with the numerator built so its modulus matches the matched-filter inner
+    product.
     """
-    p = pilot.precoder
-    n_s, n_t = p.shape
-    t_idx = np.arange(n_s)
-    v_idx = np.arange(n_t)
-    den_vs = _row_autocorr_half(p)
+    n_idx = np.arange(x.shape[0])
+    v_idx = np.arange(x.shape[1])
+    den_vs = _row_autocorr_half(x)
 
     def build(coord: int, fixed: float) -> TrigPolyRatio:
         if coord == 0:
-            q = p @ np.exp(1j * fixed * v_idx)
-            num = np.conj(a2_hat) * q
-            return TrigPolyRatio(num, np.array([np.vdot(q, q)]))
-        w = np.conj(a2_hat) * np.exp(1j * fixed * t_idx)
-        return TrigPolyRatio(p.T @ w, den_vs)
+            xs = x @ np.exp(1j * fixed * v_idx)
+            num = np.conj(a_hat) * xs
+            return TrigPolyRatio(num, np.array([np.vdot(xs, xs)]))
+        w = np.conj(a_hat) * np.exp(1j * fixed * n_idx)
+        return TrigPolyRatio(x.T @ w, den_vs)
 
     return build
 
 
-def _digital_steering(pilot: PilotDigital, omega2: float, varsigma: float) -> np.ndarray:
-    q = pilot.precoder @ np.exp(1j * varsigma * np.arange(pilot.n_t))
-    return np.exp(1j * omega2 * np.arange(pilot.n_s)) * q
+def _steering(x: np.ndarray, omega: float, varsigma: float) -> np.ndarray:
+    xs = x @ np.exp(1j * varsigma * np.arange(x.shape[1]))
+    return np.exp(1j * omega * np.arange(x.shape[0])) * xs
 
 
-def jade_objective_digital(a2_hat: np.ndarray, pilot: PilotDigital, omega2: float, varsigma: float) -> float:
-    """Matched-filter ratio |<alpha, a2>|^2 / ||alpha||^2 at one point."""
-    alpha = _digital_steering(pilot, omega2, varsigma)
+def _jade_objective(a_hat: np.ndarray, x: np.ndarray, omega: float, varsigma: float) -> float:
+    """Matched-filter ratio |<alpha, a>|^2 / ||alpha||^2 at one point."""
+    alpha = _steering(x, omega, varsigma)
     denom = float(np.vdot(alpha, alpha).real)
     if denom == 0:
         return 0.0
-    return float(np.abs(np.vdot(alpha, a2_hat)) ** 2 / denom)
+    return float(np.abs(np.vdot(alpha, a_hat)) ** 2 / denom)
+
+
+def _jade(a_hat: np.ndarray, x: np.ndarray, cfg: AcdConfig | None) -> tuple[float, float, complex]:
+    """Maximize J over both frequencies by alternating exact line searches,
+    then return them with the closed-form gain."""
+    a_hat = np.asarray(a_hat, dtype=complex).ravel()
+    if a_hat.size != x.shape[0]:
+        raise ValueError("mode vector length must match the pilot")
+    if not np.any(x):
+        raise PilotDesignError("pilot is identically zero")
+    res = acd_2d(_slices(a_hat, x), cfg or AcdConfig())
+    alpha = _steering(x, res.omega_a, res.omega_b)
+    b = complex(np.vdot(alpha, a_hat) / np.vdot(alpha, alpha).real)
+    return res.omega_a, res.omega_b, b
+
+
+def jade_objective_digital(a2_hat: np.ndarray, pilot: PilotDigital, omega2: float, varsigma: float) -> float:
+    """Doppler/departure objective J at one point; X is the precoder."""
+    return _jade_objective(a2_hat, pilot.precoder, omega2, varsigma)
 
 
 def jade_digital(
     a2_hat: np.ndarray, pilot: PilotDigital, cfg: AcdConfig | None = None
 ) -> tuple[float, float, complex]:
-    """Joint Doppler/departure estimation from the symbol-mode vector.
-
-    Maximizes the matched-filter ratio over both frequencies by alternating
-    exact line searches, then returns the closed-form gain.
-    """
-    a2_hat = np.asarray(a2_hat, dtype=complex).ravel()
-    if a2_hat.size != pilot.n_s:
-        raise ValueError("symbol-mode vector length must match the pilot")
-    if not np.any(pilot.precoder):
-        raise PilotDesignError("precoder is identically zero")
-    res = acd_2d(_digital_slices(a2_hat, pilot), cfg or AcdConfig())
-    omega2, varsigma = res.omega_a, res.omega_b
-    alpha = _digital_steering(pilot, omega2, varsigma)
-    b = complex(np.vdot(alpha, a2_hat) / np.vdot(alpha, alpha).real)
-    return omega2, varsigma, b
+    """Joint Doppler/departure estimation from the symbol-mode vector."""
+    return _jade(a2_hat, pilot.precoder, cfg)
 
 
-def _order_bound(shape: tuple[int, int, int]) -> int:
-    return min(shape[0] * shape[1], shape[0] * shape[2], shape[1] * shape[2])
+def jade_objective_hybrid(a1_hat: np.ndarray, pilot: PilotHybrid, omega1: float, varsigma: float) -> float:
+    """Delay/departure objective J at one point; X is the pilot waveform."""
+    return _jade_objective(a1_hat, pilot_waveform(pilot), omega1, varsigma)
 
 
-def _empty_result(dims: SystemDims, timings: dict[str, float], diagnostics: dict) -> EstimationResult:
-    h_hat = np.zeros((dims.n_c, dims.n_s, dims.n_r, dims.n_t), dtype=complex)
-    return EstimationResult(0, ChannelParamSet([]), h_hat, timings, diagnostics)
-
-
-def _assemble(
-    dims: SystemDims,
-    estimates: list[tuple[PathParams, float]],
-    timings: dict[str, float],
-    diagnostics: dict,
-) -> EstimationResult:
-    order = sorted(range(len(estimates)), key=lambda k: -abs(estimates[k][0].b))
-    params = ChannelParamSet([estimates[k][0] for k in order])
-    diagnostics["acd_objectives"] = [estimates[k][1] for k in order]
-    h_hat = channel_tensor(params, dims)
-    return EstimationResult(params.l, params, h_hat, timings, diagnostics)
-
-
-def _digital_path_estimates(
-    factors: CpFactors, pilot: PilotDigital, cfg: EstimatorConfig
-) -> list[tuple[PathParams, float]]:
-    """Independent per-component stage of the digital pipeline."""
-    n_c, n_r = factors.a1.shape[0], factors.a3.shape[0]
-    out = []
-    for k in range(factors.rank):
-        try:
-            c1, c2, c3 = factors.component(k)
-            omega1 = esprit_tone(c1)
-            psi = esprit_tone(c3)
-            v1 = vandermonde(omega1, n_c)
-            v3 = vandermonde(psi, n_r)
-            component = np.einsum("n,t,u->ntu", c1, c2, c3)
-            if cfg.refine:
-                a2_hat = refine_a2(component, v1, v3)
-            else:
-                a2_hat = c1[0] * c3[0] * c2
-            omega2, varsigma, b = jade_digital(a2_hat, pilot, cfg.acd)
-            objective = jade_objective_digital(a2_hat, pilot, omega2, varsigma)
-        except Exception as exc:
-            raise EstimationError(f"path {k}: {exc}") from exc
-        out.append(
-            (
-                PathParams(
-                    b,
-                    float(wrap_angle(omega1)),
-                    float(wrap_angle(omega2)),
-                    float(wrap_angle(psi)),
-                    float(wrap_angle(varsigma)),
-                ),
-                objective,
-            )
-        )
-    return out
-
-
-def estimate_digital(a: np.ndarray, pilot: PilotDigital, cfg: EstimatorConfig | None = None) -> EstimationResult:
-    """Single-stream pipeline on the observation tensor ``a`` (n_c, n_s, n_r)."""
-    cfg = cfg or EstimatorConfig()
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != pilot.n_s:
-        raise ValueError("observation shape is inconsistent with the pilot")
-    dims = SystemDims(a.shape[0], a.shape[1], a.shape[2], pilot.n_t)
-    timings: dict[str, float] = {}
-    diagnostics: dict = {}
-
-    t0 = time.perf_counter()
-    report = estimate_model_order(a)
-    timings["model_order"] = time.perf_counter() - t0
-    l_hat = report.l_hat
-    bound = _order_bound(a.shape)
-    if l_hat > bound:
-        diagnostics["order_clamped"] = {"detected": l_hat, "bound": bound}
-        l_hat = bound
-    diagnostics["model_order"] = report.per_mode_estimates
-    if l_hat == 0:
-        timings["cp"] = 0.0
-        timings["per_path_total"] = 0.0
-        return _empty_result(dims, timings, diagnostics)
-
-    t0 = time.perf_counter()
-    factors, fit_history = cp_als(a, replace(cfg.cp, rank=l_hat))
-    timings["cp"] = time.perf_counter() - t0
-    diagnostics["cp_fit"] = fit_history[-1]
-
-    t0 = time.perf_counter()
-    estimates = _digital_path_estimates(factors, pilot, cfg)
-    timings["per_path_total"] = time.perf_counter() - t0
-    return _assemble(dims, estimates, timings, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# hybrid (multi-stream) pipeline
-# ---------------------------------------------------------------------------
+def jade_hybrid(
+    a1_hat: np.ndarray, pilot: PilotHybrid, cfg: AcdConfig | None = None
+) -> tuple[float, float, complex]:
+    """Joint delay/departure estimation from the subcarrier-mode vector."""
+    return _jade(a1_hat, pilot_waveform(pilot), cfg)
 
 
 def estimate_psi_hybrid(a3_hat: np.ndarray, combiner: np.ndarray) -> float:
@@ -297,116 +217,62 @@ def estimate_psi_hybrid(a3_hat: np.ndarray, combiner: np.ndarray) -> float:
     return psi
 
 
-def _hybrid_slices(a1_hat: np.ndarray, x: np.ndarray):
-    """Exact 1-D restrictions of the delay/departure ratio objective.
-
-    Coordinate 0 is the delay frequency, coordinate 1 the departure frequency.
-    """
-    n_c, n_t = x.shape
-    n_idx = np.arange(n_c)
-    v_idx = np.arange(n_t)
-    den_vs = _row_autocorr_half(x)
-
-    def build(coord: int, fixed: float) -> TrigPolyRatio:
-        if coord == 0:
-            xs = x @ np.exp(1j * fixed * v_idx)
-            num = np.conj(a1_hat) * xs
-            return TrigPolyRatio(num, np.array([np.vdot(xs, xs)]))
-        w = np.conj(a1_hat) * np.exp(1j * fixed * n_idx)
-        return TrigPolyRatio(x.T @ w, den_vs)
-
-    return build
+def _digital_path(c1, c2, c3, pilot: PilotDigital, cfg: EstimatorConfig):
+    """(b, omega1, omega2, psi, varsigma, objective) of one digital component."""
+    omega1 = esprit_tone(c1)
+    psi = esprit_tone(c3)
+    v1 = vandermonde(omega1, c1.size)
+    v3 = vandermonde(psi, c3.size)
+    component = np.einsum("n,t,u->ntu", c1, c2, c3)
+    if cfg.refine:
+        a2_hat = refine_a2(component, v1, v3)
+    else:
+        a2_hat = c1[0] * c3[0] * c2
+    omega2, varsigma, b = jade_digital(a2_hat, pilot, cfg.acd)
+    return b, omega1, omega2, psi, varsigma, jade_objective_digital(a2_hat, pilot, omega2, varsigma)
 
 
-def _hybrid_steering(x: np.ndarray, omega1: float, varsigma: float) -> np.ndarray:
-    xs = x @ np.exp(1j * varsigma * np.arange(x.shape[1]))
-    return np.exp(1j * omega1 * np.arange(x.shape[0])) * xs
+def _hybrid_path(c1, c2, c3, pilot: PilotHybrid, cfg: EstimatorConfig):
+    """(b, omega1, omega2, psi, varsigma, objective) of one hybrid component."""
+    omega2 = esprit_tone(c2)
+    psi = estimate_psi_hybrid(c3, pilot.combiner)
+    v2 = vandermonde(omega2, c2.size)
+    r_psi = combiner_response(pilot.combiner, psi)
+    component = np.einsum("n,t,m->ntm", c1, c2, c3)
+    if cfg.refine:
+        a1_hat = refine_a1(component, v2, r_psi)
+    else:
+        m_star = int(np.argmax(np.abs(r_psi)))
+        if r_psi[m_star] == 0:
+            raise PilotDesignError("combiner response vanishes at the estimated arrival angle")
+        a1_hat = c2[0] * (c3[m_star] / r_psi[m_star]) * c1
+    omega1, varsigma, b = jade_hybrid(a1_hat, pilot, cfg.acd)
+    return b, omega1, omega2, psi, varsigma, jade_objective_hybrid(a1_hat, pilot, omega1, varsigma)
 
 
-def jade_objective_hybrid(a1_hat: np.ndarray, pilot: PilotHybrid, omega1: float, varsigma: float) -> float:
-    beta = _hybrid_steering(pilot_waveform(pilot), omega1, varsigma)
-    denom = float(np.vdot(beta, beta).real)
-    if denom == 0:
-        return 0.0
-    return float(np.abs(np.vdot(beta, a1_hat)) ** 2 / denom)
-
-
-def jade_hybrid(
-    a1_hat: np.ndarray, pilot: PilotHybrid, cfg: AcdConfig | None = None
-) -> tuple[float, float, complex]:
-    """Joint delay/departure estimation from the subcarrier-mode vector."""
-    a1_hat = np.asarray(a1_hat, dtype=complex).ravel()
-    x = pilot_waveform(pilot)
-    if a1_hat.size != x.shape[0]:
-        raise ValueError("subcarrier-mode vector length must match the pilot")
-    if not np.any(x):
-        raise PilotDesignError("pilot waveform is identically zero")
-    res = acd_2d(_hybrid_slices(a1_hat, x), cfg or AcdConfig())
-    omega1, varsigma = res.omega_a, res.omega_b
-    beta = _hybrid_steering(x, omega1, varsigma)
-    b = complex(np.vdot(beta, a1_hat) / np.vdot(beta, beta).real)
-    return omega1, varsigma, b
-
-
-def _hybrid_path_estimates(
-    factors: CpFactors, pilot: PilotHybrid, cfg: EstimatorConfig
-) -> list[tuple[PathParams, float]]:
-    """Independent per-component stage of the hybrid pipeline."""
-    n_s = factors.a2.shape[0]
+def _path_estimates(factors: CpFactors, path_step, pilot, cfg: EstimatorConfig) -> list[tuple[PathParams, float]]:
+    """Run the receiver's step on every CP component independently."""
     out = []
     for k in range(factors.rank):
         try:
-            c1, c2, c3 = factors.component(k)
-            omega2 = esprit_tone(c2)
-            psi = estimate_psi_hybrid(c3, pilot.combiner)
-            v2 = vandermonde(omega2, n_s)
-            r_psi = combiner_response(pilot.combiner, psi)
-            component = np.einsum("n,t,m->ntm", c1, c2, c3)
-            if cfg.refine:
-                a1_hat = refine_a1(component, v2, r_psi)
-            else:
-                m_star = int(np.argmax(np.abs(r_psi)))
-                if r_psi[m_star] == 0:
-                    raise PilotDesignError("combiner response vanishes at the estimated arrival angle")
-                a1_hat = c2[0] * (c3[m_star] / r_psi[m_star]) * c1
-            omega1, varsigma, b = jade_hybrid(a1_hat, pilot, cfg.acd)
-            objective = jade_objective_hybrid(a1_hat, pilot, omega1, varsigma)
+            b, *angles, objective = path_step(*factors.component(k), pilot, cfg)
         except Exception as exc:
             raise EstimationError(f"path {k}: {exc}") from exc
-        out.append(
-            (
-                PathParams(
-                    b,
-                    float(wrap_angle(omega1)),
-                    float(wrap_angle(omega2)),
-                    float(wrap_angle(psi)),
-                    float(wrap_angle(varsigma)),
-                ),
-                objective,
-            )
-        )
+        out.append((PathParams(b, *(float(wrap_angle(w)) for w in angles)), objective))
     return out
 
 
-def estimate_hybrid(y: np.ndarray, pilot: PilotHybrid, cfg: EstimatorConfig | None = None) -> EstimationResult:
-    """Multi-stream pipeline on the received tensor ``y`` (n_c, n_s, d_r)."""
-    cfg = cfg or EstimatorConfig()
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 3 or y.shape[2] != pilot.d_r:
-        raise ValueError("observation shape is inconsistent with the combiner")
-    d_r = pilot.d_r
-    dims = SystemDims(
-        y.shape[0], y.shape[1], pilot.n_r, pilot.n_t, d_t=pilot.d_t, d_r=d_r,
-        n_a_t=pilot.n_t // pilot.d_t, n_a_r=pilot.n_r // d_r,
-    )
+def _estimate(obs: np.ndarray, dims: SystemDims, path_step, pilot, cfg: EstimatorConfig) -> EstimationResult:
+    """Model order, CP-ALS, ``path_step`` on every component, gain sort and reconstruction."""
     timings: dict[str, float] = {}
     diagnostics: dict = {}
 
     t0 = time.perf_counter()
-    report = estimate_model_order(y)
+    report = estimate_model_order(obs)
     timings["model_order"] = time.perf_counter() - t0
     l_hat = report.l_hat
-    bound = _order_bound(y.shape)
+    n_1, n_2, n_3 = obs.shape
+    bound = min(n_1 * n_2, n_1 * n_3, n_2 * n_3)
     if l_hat > bound:
         diagnostics["order_clamped"] = {"detected": l_hat, "bound": bound}
         l_hat = bound
@@ -414,14 +280,38 @@ def estimate_hybrid(y: np.ndarray, pilot: PilotHybrid, cfg: EstimatorConfig | No
     if l_hat == 0:
         timings["cp"] = 0.0
         timings["per_path_total"] = 0.0
-        return _empty_result(dims, timings, diagnostics)
+        h_hat = np.zeros((dims.n_c, dims.n_s, dims.n_r, dims.n_t), dtype=complex)
+        return EstimationResult(0, ChannelParamSet([]), h_hat, timings, diagnostics)
 
     t0 = time.perf_counter()
-    factors, fit_history = cp_als(y, replace(cfg.cp, rank=l_hat))
+    factors, fit_history = cp_als(obs, replace(cfg.cp, rank=l_hat))
     timings["cp"] = time.perf_counter() - t0
     diagnostics["cp_fit"] = fit_history[-1]
 
     t0 = time.perf_counter()
-    estimates = _hybrid_path_estimates(factors, pilot, cfg)
+    estimates = _path_estimates(factors, path_step, pilot, cfg)
     timings["per_path_total"] = time.perf_counter() - t0
-    return _assemble(dims, estimates, timings, diagnostics)
+
+    order = sorted(range(len(estimates)), key=lambda k: -abs(estimates[k][0].b))
+    params = ChannelParamSet([estimates[k][0] for k in order])
+    diagnostics["acd_objectives"] = [estimates[k][1] for k in order]
+    h_hat = channel_tensor(params, dims)
+    return EstimationResult(params.l, params, h_hat, timings, diagnostics)
+
+
+def estimate_digital(a: np.ndarray, pilot: PilotDigital, cfg: EstimatorConfig | None = None) -> EstimationResult:
+    """Single-stream pipeline on the observation tensor ``a`` (n_c, n_s, n_r)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != pilot.n_s:
+        raise ValueError("observation shape is inconsistent with the pilot")
+    dims = SystemDims(a.shape[0], a.shape[1], a.shape[2], pilot.n_t)
+    return _estimate(a, dims, _digital_path, pilot, cfg or EstimatorConfig())
+
+
+def estimate_hybrid(y: np.ndarray, pilot: PilotHybrid, cfg: EstimatorConfig | None = None) -> EstimationResult:
+    """Multi-stream pipeline on the received tensor ``y`` (n_c, n_s, d_r)."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 3 or y.shape[2] != pilot.d_r:
+        raise ValueError("observation shape is inconsistent with the combiner")
+    dims = SystemDims(y.shape[0], y.shape[1], pilot.n_r, pilot.n_t, d_t=pilot.d_t, d_r=pilot.d_r)
+    return _estimate(y, dims, _hybrid_path, pilot, cfg or EstimatorConfig())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import vandermonde
+from .harmonic import vandermonde, wrap_angle
 
 __all__ = [
     "SystemDims",
@@ -36,11 +36,6 @@ __all__ = [
 ]
 
 _MAX_REJECTION_ATTEMPTS = 10_000
-
-
-def wrap_angle(x):
-    """Wrap angles to (-pi, pi]."""
-    return np.angle(np.exp(1j * np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

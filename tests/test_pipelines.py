@@ -115,7 +115,7 @@ def test_jade_digital_dc_closed_form():
     pilot = sc.PilotDigital(np.ones((n_s, n_t)), np.ones((16, n_s)))
     rng = np.random.default_rng(6)
     a2 = _crandn(rng, n_s)
-    alpha0 = pl._digital_steering(pilot, 0.0, 0.0)
+    alpha0 = pl._steering(pilot.precoder, 0.0, 0.0)
     assert_allclose(alpha0, n_t * np.ones(n_s))
     b0 = np.vdot(alpha0, a2) / np.vdot(alpha0, alpha0).real
     assert b0 == pytest.approx(np.mean(a2) / n_t)
@@ -123,7 +123,7 @@ def test_jade_digital_dc_closed_form():
         abs(np.sum(a2)) ** 2 / n_s
     )
     omega2, varsigma, b = pl.jade_digital(a2, pilot)
-    alpha = pl._digital_steering(pilot, omega2, varsigma)
+    alpha = pl._steering(pilot.precoder, omega2, varsigma)
     assert b == pytest.approx(np.vdot(alpha, a2) / np.vdot(alpha, alpha).real)
     assert pl.jade_objective_digital(a2, pilot, omega2, varsigma) >= pl.jade_objective_digital(
         a2, pilot, 0.0, 0.0
@@ -218,12 +218,12 @@ def test_digital_path_stage_scale_ambiguity_invariant():
 
     factors, _ = cp_als(a, CpSolveConfig(rank=2, seed=1))
     cfg = _tight_config()
-    base = pl._digital_path_estimates(factors, pilot, cfg)
+    base = pl._path_estimates(factors, pl._digital_path, pilot, cfg)
     c = 3.0 * np.exp(1j * 1.1)
     scaled = CpFactors(factors.a1.copy(), factors.a2.copy(), factors.a3.copy())
     scaled.a1[:, 0] *= c
     scaled.a2[:, 0] /= c
-    alt = pl._digital_path_estimates(scaled, pilot, cfg)
+    alt = pl._path_estimates(scaled, pl._digital_path, pilot, cfg)
     for (p, _), (q, _) in zip(base, alt):
         assert_allclose(_angles(p), _angles(q), atol=1e-9)
         assert abs(p.b - q.b) <= 1e-9 * max(1.0, abs(p.b))
@@ -301,6 +301,41 @@ def test_jade_hybrid_dominates_truth_under_noise():
     assert pl.jade_objective_hybrid(a1, pilot, omega1, varsigma) >= pl.jade_objective_hybrid(
         a1, pilot, *true
     ) - 1e-9
+
+
+def test_jade_digital_with_hybrid_waveform_matches_jade_hybrid():
+    """Both receivers fit the same 2-D objective: a digital pilot whose
+    precoder is the hybrid pilot waveform gives the hybrid fit exactly."""
+    pilot_h = sc.make_pilot_hybrid(sc.SystemDims(16, 8, 16, 16, d_t=4, d_r=4), seed=3)
+    x = sc.pilot_waveform(pilot_h)
+    pilot_d = sc.PilotDigital(x, np.ones((4, x.shape[0])))
+    rng = np.random.default_rng(10)
+    a = _crandn(rng, x.shape[0])
+    fit = pl.jade_hybrid(a, pilot_h)
+    assert pl.jade_digital(a, pilot_d) == fit
+    assert pl.jade_objective_digital(a, pilot_d, *fit[:2]) == pl.jade_objective_hybrid(a, pilot_h, *fit[:2])
+
+
+# --- per-path stage (both receivers) ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "path_step, make_pilot, n_3, esprit_mode",
+    [
+        (pl._digital_path, sc.make_pilot_digital, 16, "a1"),
+        (pl._digital_path, sc.make_pilot_digital, 16, "a3"),
+        (pl._hybrid_path, sc.make_pilot_hybrid, 4, "a2"),
+    ],
+)
+def test_path_stage_failure_names_the_path(path_step, make_pilot, n_3, esprit_mode):
+    """A component with a zero ESPRIT column fails with its own index."""
+    dims = sc.SystemDims(12, 12, 16, 16, d_t=4, d_r=4)
+    pilot = make_pilot(dims, seed=0)
+    rng = np.random.default_rng(11)
+    factors = CpFactors(_crandn(rng, 12, 2), _crandn(rng, 12, 2), _crandn(rng, n_3, 2))
+    getattr(factors, esprit_mode)[:, 1] = 0
+    with pytest.raises(pl.EstimationError, match=r"^path 1: zero input vector"):
+        pl._path_estimates(factors, path_step, pilot, _tight_config())
 
 
 # --- estimate_hybrid -------------------------------------------------------------
