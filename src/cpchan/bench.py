@@ -12,8 +12,11 @@ import concurrent.futures
 import configparser
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from statistics import mean, median
+from typing import get_type_hints
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -140,51 +143,40 @@ def make_pilot(cfg: CampaignConfig):
     return make_pilot_hybrid(cfg.system, cfg.pilot_seed)
 
 
-def _estimate(cfg: CampaignConfig, pilot, h: np.ndarray, n0: float, noise_seed: int, run_seed: int) -> EstimationResult:
-    est_cfg = replace(cfg.estimator, cp=replace(cfg.estimator.cp, seed=run_seed + _SOLVER_SEED_OFFSET))
+def _scene(cfg: CampaignConfig, pilot, snr_db: float, seed: int) -> tuple[ChannelParamSet, np.ndarray, float]:
+    """The channel drawn for ``seed``, its tensor and the noise variance at ``snr_db``."""
+    chan = draw_channel(replace(cfg.channel, seed=seed))
+    h = channel_tensor(chan, cfg.system)
+    return chan, h, snr_to_n0(h, pilot, snr_db)
+
+
+def _observe(cfg: CampaignConfig, pilot, h: np.ndarray, n0: float, noise_seed: int) -> np.ndarray:
+    """The observation the ``cfg.mode`` estimator takes (digital: the response tensor)."""
     if cfg.mode == "digital":
-        _, a = receive_digital(h, pilot, n0, noise_seed)
-        return estimate_digital(a, pilot, est_cfg)
-    y = receive_hybrid(h, pilot, n0, noise_seed)
-    return estimate_hybrid(y, pilot, est_cfg)
+        return receive_digital(h, pilot, n0, noise_seed)[1]
+    return receive_hybrid(h, pilot, n0, noise_seed)
+
+
+def _estimate(cfg: CampaignConfig, pilot, obs: np.ndarray, estimator: EstimatorConfig) -> EstimationResult:
+    estimate = estimate_digital if cfg.mode == "digital" else estimate_hybrid
+    return estimate(obs, pilot, estimator)
 
 
 def _run_one(cfg: CampaignConfig, pilot, snr_db: float, run_id: int) -> RunRecord:
     seed = cfg.base_seed + run_id
-    chan = draw_channel(replace(cfg.channel, seed=seed))
-    h = channel_tensor(chan, cfg.system)
-    n0 = snr_to_n0(h, pilot, snr_db)
+    chan, h, n0 = _scene(cfg, pilot, snr_db, seed)
+    est_cfg = replace(cfg.estimator, cp=replace(cfg.estimator.cp, seed=seed + _SOLVER_SEED_OFFSET))
     t0 = time.perf_counter()
     try:
-        result = _estimate(cfg, pilot, h, n0, seed + _NOISE_SEED_OFFSET, seed)
+        result = _estimate(cfg, pilot, _observe(cfg, pilot, h, n0, seed + _NOISE_SEED_OFFSET), est_cfg)
         total_ms = 1e3 * (time.perf_counter() - t0)
-        return RunRecord(
-            run_id=run_id,
-            snr_db=float(snr_db),
-            l_true=chan.l,
-            l_hat=result.l_hat,
-            rel_err=relative_error(h, result.h_hat),
-            time_total_ms=total_ms,
-            time_cp_ms=1e3 * result.timings["cp"],
-            time_mdl_ms=1e3 * result.timings["model_order"],
-            time_paths_ms=1e3 * result.timings["per_path_total"],
-            seed=seed,
-        )
+        l_hat, rel_err, error = result.l_hat, relative_error(h, result.h_hat), ""
+        cp_ms, mdl_ms, paths_ms = (1e3 * result.timings[k] for k in ("cp", "model_order", "per_path_total"))
     except Exception as exc:
         total_ms = 1e3 * (time.perf_counter() - t0)
-        return RunRecord(
-            run_id=run_id,
-            snr_db=float(snr_db),
-            l_true=chan.l,
-            l_hat=-1,
-            rel_err=1.0,
-            time_total_ms=total_ms,
-            time_cp_ms=0.0,
-            time_mdl_ms=0.0,
-            time_paths_ms=0.0,
-            seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        l_hat, rel_err, error = -1, 1.0, f"{type(exc).__name__}: {exc}"
+        cp_ms = mdl_ms = paths_ms = 0.0
+    return RunRecord(run_id, float(snr_db), chan.l, l_hat, rel_err, total_ms, cp_ms, mdl_ms, paths_ms, seed, error)
 
 
 def run_campaign(cfg: CampaignConfig) -> tuple[list[RunRecord], list[SnrSummary]]:
@@ -195,27 +187,21 @@ def run_campaign(cfg: CampaignConfig) -> tuple[list[RunRecord], list[SnrSummary]
     back sorted by (snr_db, run_id) regardless of completion order.
     """
     pilot = make_pilot(cfg)
-    jobs = [(float(snr), run) for snr in cfg.snr_db_list for run in range(cfg.mc_runs)]
+    snrs, runs = zip(*[(float(snr), run) for snr in cfg.snr_db_list for run in range(cfg.mc_runs)])
+    jobs = (repeat(cfg), repeat(pilot), snrs, runs)
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_one_star, [(cfg, pilot, snr, run) for snr, run in jobs], chunksize=1))
+            records = list(pool.map(_run_one, *jobs, chunksize=1))
     else:
-        records = [_run_one(cfg, pilot, snr, run) for snr, run in jobs]
+        records = list(map(_run_one, *jobs))
     records.sort(key=lambda r: (r.snr_db, r.run_id))
 
     summaries = []
     for snr in sorted(set(cfg.snr_db_list)):
         errs = [r.rel_err for r in records if r.snr_db == snr]
-        counts: dict[int, int] = {}
-        for r in records:
-            if r.snr_db == snr:
-                counts[r.l_hat] = counts.get(r.l_hat, 0) + 1
+        counts = dict(Counter(r.l_hat for r in records if r.snr_db == snr))
         summaries.append(SnrSummary(float(snr), mean(errs), median(errs), counts))
     return records, summaries
-
-
-def _run_one_star(args) -> RunRecord:
-    return _run_one(*args)
 
 
 def write_records_csv(path, records: list[RunRecord]) -> None:
@@ -232,26 +218,10 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    types = get_type_hints(RunRecord)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            out.append(
-                RunRecord(
-                    run_id=int(row["run_id"]),
-                    snr_db=float(row["snr_db"]),
-                    l_true=int(row["l_true"]),
-                    l_hat=int(row["l_hat"]),
-                    rel_err=float(row["rel_err"]),
-                    time_total_ms=float(row["time_total_ms"]),
-                    time_cp_ms=float(row["time_cp_ms"]),
-                    time_mdl_ms=float(row["time_mdl_ms"]),
-                    time_paths_ms=float(row["time_paths_ms"]),
-                    seed=int(row["seed"]),
-                    error=row["error"],
-                )
-            )
-    return out
+        rows = list(csv.DictReader(fh))
+    return [RunRecord(**{f.name: types[f.name](row[f.name]) for f in fields(RunRecord)}) for row in rows]
 
 
 def summary_lines(summaries: list[SnrSummary]) -> list[str]:
@@ -363,10 +333,7 @@ def oracle_single_path(
         v1 = np.exp(1j * omega1 * np.arange(n_c))
         v3 = np.exp(1j * psi * np.arange(n_r))
         coupling = np.einsum("n,u,ntu->t", np.conj(v1), np.conj(v3), y) / (n_c * n_r)
-        omega2, varsigma = _ratio_scan_2d(coupling, pilot.precoder, grid, refine_steps)
-        q = pilot.precoder @ np.exp(1j * varsigma * np.arange(pilot.n_t))
-        alpha = np.exp(1j * omega2 * np.arange(n_s)) * q
-        b = complex(np.vdot(alpha, coupling) / np.vdot(alpha, alpha).real)
+        x = pilot.precoder
     elif mode == "hybrid":
         n_c, n_s, d_r = y.shape
         omega2 = _tone_scan(unfold(y, 1), grid, refine_steps)
@@ -386,12 +353,14 @@ def oracle_single_path(
         v2 = np.exp(1j * omega2 * np.arange(n_s))
         r_psi = combiner_response(pilot.combiner, psi)
         coupling = np.einsum("t,m,ntm->n", np.conj(v2), np.conj(r_psi), y) / (n_s * float(np.vdot(r_psi, r_psi).real))
-        omega1, varsigma = _ratio_scan_2d(coupling, pilot_waveform(pilot), grid, refine_steps)
-        xs = pilot_waveform(pilot) @ np.exp(1j * varsigma * np.arange(pilot.n_t))
-        beta = np.exp(1j * omega1 * np.arange(n_c)) * xs
-        b = complex(np.vdot(beta, coupling) / np.vdot(beta, beta).real)
+        x = pilot_waveform(pilot)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # The coupled pair: the tone over the rows of X and varsigma over its columns.
+    tone, varsigma = _ratio_scan_2d(coupling, x, grid, refine_steps)
+    alpha = np.exp(1j * tone * np.arange(x.shape[0])) * (x @ np.exp(1j * varsigma * np.arange(x.shape[1])))
+    b = complex(np.vdot(alpha, coupling) / np.vdot(alpha, alpha).real)
+    omega1, omega2 = (omega1, tone) if mode == "digital" else (tone, omega2)
     return PathParams(
         b,
         float(wrap_angle(omega1)),
@@ -460,6 +429,11 @@ def parse_config(path) -> CampaignConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+    def boolean(text: str) -> bool:
+        if text.lower() not in parser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {text!r}")
+        return parser.BOOLEAN_STATES[text.lower()]
+
     try:
         d_t = get("system", "d_t", int, get("system", "d", int, 4))
         d_r = get("system", "d_r", int, get("system", "d", int, 4))
@@ -496,7 +470,7 @@ def parse_config(path) -> CampaignConfig:
                 starts=get("estimator", "acd_starts", int, 4),
                 grid_oversample=get("estimator", "acd_grid_oversample", int, 8),
             ),
-            refine=get("estimator", "refine", lambda s: s.strip().lower() in ("1", "true", "yes", "on"), True),
+            refine=get("estimator", "refine", boolean, True),
         )
         return CampaignConfig(
             system=system,

@@ -16,6 +16,9 @@ from .bench import (
     _NOISE_SEED_OFFSET,
     CampaignConfig,
     ConfigError,
+    _estimate,
+    _observe,
+    _scene,
     make_pilot,
     match_paths,
     oracle_single_path,
@@ -26,8 +29,7 @@ from .bench import (
     write_records_csv,
 )
 from .fileio import load_params, load_tensor, save_params, save_tensor
-from .pipelines import estimate_digital, estimate_hybrid
-from .simchannel import channel_tensor, draw_channel, receive_digital, receive_hybrid, snr_to_n0
+from .simchannel import ChannelParamSet, PathParams
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,19 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path_line(p: PathParams) -> str:
+    return (
+        f"b=({p.b.real:.6g},{p.b.imag:.6g}) omega1={p.omega1:.6g} "
+        f"omega2={p.omega2:.6g} psi={p.psi:.6g} varsigma={p.varsigma:.6g}"
+    )
+
+
 def _cmd_simulate(cfg: CampaignConfig, args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    chan = draw_channel(replace(cfg.channel, seed=cfg.base_seed))
-    h = channel_tensor(chan, cfg.system)
     pilot = make_pilot(cfg)
     snr_db = cfg.snr_db_list[0] if args.snr_db is None else args.snr_db
-    n0 = snr_to_n0(h, pilot, snr_db)
-    noise_seed = cfg.base_seed + _NOISE_SEED_OFFSET
-    if cfg.mode == "digital":
-        _, obs = receive_digital(h, pilot, n0, noise_seed)
-    else:
-        obs = receive_hybrid(h, pilot, n0, noise_seed)
+    # the scene and the noise of campaign run 0
+    chan, h, n0 = _scene(cfg, pilot, snr_db, cfg.base_seed)
+    obs = _observe(cfg, pilot, h, n0, cfg.base_seed + _NOISE_SEED_OFFSET)
     save_tensor(out / "channel.cpt", h)
     save_tensor(out / "obs.cpt", obs)
     save_params(out / "params.txt", chan)
@@ -80,11 +84,7 @@ def _cmd_simulate(cfg: CampaignConfig, args) -> int:
 
 def _cmd_estimate(cfg: CampaignConfig, args) -> int:
     obs = load_tensor(args.observation)
-    pilot = make_pilot(cfg)
-    if cfg.mode == "digital":
-        result = estimate_digital(obs, pilot, cfg.estimator)
-    else:
-        result = estimate_hybrid(obs, pilot, cfg.estimator)
+    result = _estimate(cfg, make_pilot(cfg), obs, cfg.estimator)
     print(f"l_hat={result.l_hat}")
     for name, secs in result.timings.items():
         print(f"time_{name}_ms={1e3 * secs:.3f}")
@@ -96,10 +96,7 @@ def _cmd_estimate(cfg: CampaignConfig, args) -> int:
         print(f"wrote {args.params_out}")
     else:
         for p in result.params.paths:
-            print(
-                f"b=({p.b.real:.6g},{p.b.imag:.6g}) omega1={p.omega1:.6g} "
-                f"omega2={p.omega2:.6g} psi={p.psi:.6g} varsigma={p.varsigma:.6g}"
-            )
+            print(_path_line(p))
     return 0
 
 
@@ -120,14 +117,9 @@ def _cmd_oracle(cfg: CampaignConfig, args) -> int:
     obs = load_tensor(args.observation)
     pilot = make_pilot(cfg)
     est = oracle_single_path(obs, pilot, cfg.mode, grid_points_per_dim=args.grid)
-    print(
-        f"b=({est.b.real:.6g},{est.b.imag:.6g}) omega1={est.omega1:.6g} "
-        f"omega2={est.omega2:.6g} psi={est.psi:.6g} varsigma={est.varsigma:.6g}"
-    )
+    print(_path_line(est))
     if args.truth:
         truth = load_params(args.truth)
-        from .simchannel import ChannelParamSet
-
         result = match_paths(truth, ChannelParamSet([est]))
         for name, value in result.rmse.items():
             print(f"err_{name}={value:.6g}")

@@ -57,8 +57,6 @@ def _full_laurent(half: np.ndarray) -> tuple[np.ndarray, int]:
     """Expand Hermitian half coefficients d_0..d_M into the full Laurent
     coefficient vector for degrees -M..M, returned with its offset M."""
     d = np.asarray(half, dtype=complex)
-    if d.size == 0:
-        return np.array([1.0 + 0.0j]), 0
     return np.concatenate([np.conj(d[1:])[::-1], d]), d.size - 1
 
 
@@ -77,31 +75,27 @@ class TrigPolyRatio:
     ``num`` holds the complex coefficients c_k of f(z) = sum_k c_k z^k.
     ``den`` holds the Hermitian half coefficients d_0..d_M of the real-valued
     trigonometric polynomial g(w) = d_0 + 2*Re(sum_{m>=1} d_m e^{jmw});
-    an empty ``den`` means g == 1. g must be strictly positive, which is
-    checked on a dense offset grid at construction.
+    an empty ``den`` is stored as [1], g == 1. g must be strictly positive,
+    which is checked on a dense offset grid at construction.
     """
 
     num: np.ndarray
-    den: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
+    den: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
 
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.num, dtype=complex))
-        den = np.atleast_1d(np.asarray(self.den, dtype=complex)) if np.size(self.den) else np.empty(0, dtype=complex)
+        den = np.atleast_1d(np.asarray(self.den, dtype=complex)) if np.size(self.den) else np.ones(1, dtype=complex)
         if num.ndim != 1 or den.ndim != 1:
             raise ValueError("num and den must be coefficient vectors")
         if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
             raise ValueError("non-finite coefficients")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        if den.size:
-            if abs(den[0].imag) > 1e-9 * max(1.0, abs(den[0].real)):
-                raise ValueError("leading denominator coefficient must be real")
-            if den.size == 1:
-                gmin = den[0].real
-            else:
-                gmin = float(np.min(_den_grid(den, _FALLBACK_GRID)))
-            if gmin <= 0:
-                raise ValueError(f"denominator is not strictly positive (min {gmin:g} on check grid)")
+        if abs(den[0].imag) > 1e-9 * max(1.0, abs(den[0].real)):
+            raise ValueError("leading denominator coefficient must be real")
+        gmin = den[0].real if den.size == 1 else float(np.min(_den_grid(den, _FALLBACK_GRID)))
+        if gmin <= 0:
+            raise ValueError(f"denominator is not strictly positive (min {gmin:g} on check grid)")
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,6 @@ def eval_ratio(r: TrigPolyRatio, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     z = np.exp(1j * omega)
     num = np.abs(npoly.polyval(z, r.num)) ** 2
-    if r.den.size == 0:
-        return num
     full, off = _full_laurent(r.den)
     g = np.real(_laurent_values(full, off, omega))
     out = np.zeros_like(num)
@@ -206,8 +198,6 @@ def _grid_values(r: TrigPolyRatio, n: int) -> tuple[np.ndarray, np.ndarray]:
     fvals = np.fft.ifft(cnum) * n
     num = np.abs(fvals) ** 2
     omegas = _offset_grid(n)
-    if r.den.size == 0:
-        return omegas, num
     if r.den.size == 1:
         return omegas, num / r.den[0].real
     g = _den_grid(r.den, n)
@@ -279,9 +269,7 @@ def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarr
     that sign change is dropped; the others are polished by bracketed Newton
     on J'.
     """
-    c = np.trim_zeros(r.num, "b")
-    if r.den.size:
-        c = c / np.sqrt(r.den[0].real)
+    c = np.trim_zeros(r.num, "b") / np.sqrt(r.den[0].real)
     deg = c.size - 1
     step = 2.0 * np.pi / grid_v.size
     if deg < 1 or deg * step >= 1.0:  # the concavity test needs s D^3 < D^2
@@ -328,7 +316,7 @@ def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     """Global maximizer of J(w) over (-pi, pi].
 
     Candidates for the maximizer come from one of two sources. For a constant
-    denominator (``den.size <= 1``), J is a trigonometric polynomial and the
+    denominator (``den.size == 1``), J is a trigonometric polynomial and the
     4096-point FFT grid, with Bernstein's inequality and a bracketed Newton
     polish, certifies a few stationary points (see
     :func:`_certified_candidates`). Ratio objectives, and constant-denominator
@@ -342,7 +330,7 @@ def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
         warnings.warn("objective numerator is identically zero", RuntimeWarning, stacklevel=2)
         return 0.0, 0.0
     grid_w, grid_v = _grid_values(r, _FALLBACK_GRID)
-    cands = _certified_candidates(r, grid_w, grid_v) if r.den.size <= 1 else None
+    cands = _certified_candidates(r, grid_w, grid_v) if r.den.size == 1 else None
     if cands is None:
         cands = _stationary_candidates(r)
     best_grid = grid_w[int(np.argmax(grid_v))]

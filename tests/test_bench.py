@@ -119,6 +119,20 @@ def test_csv_roundtrip_and_header(tmp_path):
         assert a == b
 
 
+def test_csv_roundtrip_of_failure_records(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError('bad pilot, "quoted" text')
+
+    monkeypatch.setattr(bench, "estimate_digital", boom)
+    records, _ = bench.run_campaign(_small_campaign(tmp_path, runs=2))
+    for r in records:
+        assert (r.l_hat, r.rel_err, r.time_cp_ms, r.time_mdl_ms, r.time_paths_ms) == (-1, 1.0, 0.0, 0.0, 0.0)
+        assert r.error == 'RuntimeError: bad pilot, "quoted" text'
+    path = tmp_path / "failed.csv"
+    bench.write_records_csv(path, records)
+    assert bench.read_records_csv(path) == records
+
+
 def test_csv_deterministic_modulo_timing(tmp_path):
     cfg = _small_campaign(tmp_path, snrs=(12.0,), runs=2, l=2)
     paths = []
@@ -360,6 +374,20 @@ def test_parse_config_bad_value(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[mc]\nruns = soon\n")
     with pytest.raises(bench.ConfigError):
+        bench.parse_config(path)
+
+
+@pytest.mark.parametrize("word, refine", [("off", False), ("No", False), ("on", True), ("1", True)])
+def test_parse_config_refine_boolean_words(tmp_path, word, refine):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[estimator]\nrefine = {word}\n")
+    assert bench.parse_config(path).estimator.refine is refine
+
+
+def test_parse_config_refine_typo_rejected(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[estimator]\nrefine = ture\n")
+    with pytest.raises(bench.ConfigError, match="refine"):
         bench.parse_config(path)
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: subcommands, files, exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,18 +98,29 @@ def test_campaign_writes_csv(digital_config, tmp_path, capsys):
     assert "median_rel_err" in capsys.readouterr().out
 
 
-def test_oracle_subcommand(digital_config, tmp_path, capsys):
+# One path as printed by ``estimate`` and ``oracle``.
+_PATH_LINE = re.compile(r"b=\(\S+,\S+\) omega1=\S+ omega2=\S+ psi=\S+ varsigma=\S+")
+
+
+# At --grid 128 the hybrid delay (omega1) error is about 1.3e-3, over the bound.
+@pytest.mark.parametrize(
+    "config, grid", [("digital_config", "128"), ("hybrid_config", "256")], ids=["digital", "hybrid"]
+)
+def test_oracle_subcommand(config, grid, tmp_path, capsys, request):
+    config = str(request.getfixturevalue(config))
     out = tmp_path / "scene"
-    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    main(["simulate", "-c", config, "-o", str(out)])
+    assert main(["estimate", "-c", config, "--observation", str(out / "obs.cpt")]) == 0
+    estimate_text = capsys.readouterr().out
     code = main(
         [
             "oracle",
             "-c",
-            str(digital_config),
+            config,
             "--observation",
             str(out / "obs.cpt"),
             "--grid",
-            "128",
+            grid,
             "--truth",
             str(out / "params.txt"),
         ]
@@ -116,6 +129,9 @@ def test_oracle_subcommand(digital_config, tmp_path, capsys):
     text = capsys.readouterr().out
     errs = [float(ln.split("=")[1]) for ln in text.splitlines() if ln.startswith("err_")]
     assert errs and max(errs) < 1e-3
+    for printed in (estimate_text, text):
+        paths = [ln for ln in printed.splitlines() if ln.startswith("b=")]
+        assert len(paths) == 1 and _PATH_LINE.fullmatch(paths[0])
 
 
 def test_missing_config_exit_code(tmp_path):
