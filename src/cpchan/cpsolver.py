@@ -3,8 +3,15 @@
 Alternating least squares with random restarts. The first restart starts from
 truncated SVDs of the three unfoldings (HOSVD-style); the remaining restarts
 use independent complex-Gaussian factor draws. Every mode update solves the
-unfolded normal equations through a pseudoinverse whose singular values are
-floored at 1e-12 times the largest.
+unfolded normal equations through a pseudoinverse of the Hermitian Gram
+Hadamard product, whose eigenvalues are floored at 1e-12 times the largest.
+
+One sweep forms a single Khatri-Rao product, for the mode-0 MTTKRP (the
+matricized-tensor-times-Khatri-Rao product). The mode-1 and mode-2 MTTKRPs
+contract ``conj(A)^T`` times the mode-0 unfolding instead. The Gram of each
+factor is kept and updated once per mode, and the fit comes from the Grams
+and the last MTTKRP; below a fit of 1e-3, where that formula loses digits to
+cancellation, it comes from the explicit residual.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ __all__ = ["CpFactors", "CpSolveConfig", "DegenerateComponentError", "cp_als", "
 
 _PINV_FLOOR = 1e-12
 _FIT_FLOOR = 1e-14
+_EXPLICIT_FIT_BELOW = 1e-3
 _ATTEMPTS_PER_RESTART = 3
 
 
@@ -75,14 +83,21 @@ class CpSolveConfig:
             raise ValueError("rank must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.rel_tol >= 0:
+            raise ValueError("rel_tol must be >= 0")
 
 
 def _floored_pinv(g: np.ndarray) -> np.ndarray:
-    u, s, vh = np.linalg.svd(g)
-    if s[0] == 0:
+    """Pseudoinverse of a Hermitian PSD Gram with eigenvalues floored at
+    ``_PINV_FLOOR`` times the largest (for a PSD matrix the eigenvalues are
+    its singular values)."""
+    w, v = np.linalg.eigh(g)
+    if not w[-1] > 0:
         raise np.linalg.LinAlgError("zero Gram matrix")
-    s = np.maximum(s, _PINV_FLOOR * s[0])
-    return (vh.conj().T * (1.0 / s)) @ u.conj().T
+    w = np.maximum(w, _PINV_FLOOR * w[-1])
+    return (v / w) @ v.conj().T
 
 
 def _svd_init(unfoldings: list[np.ndarray], rank: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -105,30 +120,49 @@ def _random_init(dims: tuple[int, ...], rank: int, rng: np.random.Generator) -> 
     ]
 
 
+def _gram(f: np.ndarray) -> np.ndarray:
+    return f.conj().T @ f
+
+
 def _als_run(
-    unfoldings: list[np.ndarray],
+    t0: np.ndarray,
     t_norm: float,
     init: list[np.ndarray],
     cfg: CpSolveConfig,
 ) -> tuple[list[np.ndarray], list[float]]:
-    factors = [f.copy() for f in init]
+    """ALS sweeps on the mode-0 unfolding ``t0`` from the factors ``init``."""
+    _, b, c = init  # the first sweep starts by solving for a
+    n2, n3 = b.shape[0], c.shape[0]
+    gram_b, gram_c = _gram(b), _gram(c)
     history: list[float] = []
     prev_fit = np.inf
     for _ in range(cfg.max_iters):
-        for mode in range(3):
-            others = [k for k in range(3) if k != mode]
-            lo, hi = others[0], others[1]
-            kr = khatri_rao(factors[hi], factors[lo])
-            gram = (factors[hi].conj().T @ factors[hi]) * (factors[lo].conj().T @ factors[lo])
-            factors[mode] = unfoldings[mode] @ kr.conj() @ _floored_pinv(gram.conj())
-        fit = frobenius(unfoldings[0] - factors[0] @ khatri_rao(factors[2], factors[1]).T) / t_norm
+        a = t0 @ khatri_rao(c.conj(), b.conj()) @ _floored_pinv((gram_c * gram_b).conj())
+        gram_a = _gram(a)
+        # w[r, k, j] = sum_i conj(a[i, r]) t[i, j, k]. The mode-1 MTTKRP
+        # m1[j, r] = sum_k conj(c[k, r]) w[r, k, j] and the mode-2 one
+        # m2[k, r] = sum_j conj(b[j, r]) w[r, k, j] need no Khatri-Rao product.
+        w = (a.conj().T @ t0).reshape(-1, n3, n2)
+        m1 = (c.conj().T[:, None, :] @ w)[:, 0, :].T
+        b = m1 @ _floored_pinv((gram_c * gram_a).conj())
+        gram_b = _gram(b)
+        m2 = (w @ b.conj().T[:, :, None])[:, :, 0].T
+        c = m2 @ _floored_pinv((gram_b * gram_a).conj())
+        gram_c = _gram(c)
+        # ||T - [[a, b, c]]||^2 = ||T||^2 - 2 Re<c, m2> + sum(G_a * G_b * G_c).
+        # Its cancellation error in the fit is about eps / fit, so small fits
+        # are recomputed from the explicit residual.
+        res2 = t_norm**2 - 2.0 * np.vdot(c, m2).real + np.sum(gram_a * gram_b * gram_c).real
+        fit = float(np.sqrt(max(res2, 0.0))) / t_norm
+        if fit < _EXPLICIT_FIT_BELOW:
+            fit = frobenius(t0 - a @ khatri_rao(c, b).T) / t_norm
         if not np.isfinite(fit):
             raise np.linalg.LinAlgError("non-finite fit")
         history.append(fit)
         if fit < _FIT_FLOOR or abs(prev_fit - fit) <= cfg.rel_tol:
             break
         prev_fit = fit
-    return factors, history
+    return [a, b, c], history
 
 
 def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
@@ -165,7 +199,7 @@ def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
             else:
                 init = _random_init(dims, cfg.rank, rng)
             try:
-                factors, history = _als_run(unfoldings, t_norm, init, cfg)
+                factors, history = _als_run(unfoldings[0], t_norm, init, cfg)
             except np.linalg.LinAlgError:
                 continue
             if best is None or history[-1] < best[0]:

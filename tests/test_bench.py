@@ -377,6 +377,14 @@ def test_parse_config_bad_value(tmp_path):
         bench.parse_config(path)
 
 
+@pytest.mark.parametrize("line", ["cp_max_iters = 0", "cp_rel_tol = -1e-8"])
+def test_parse_config_cp_solver_out_of_range(tmp_path, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[estimator]\n{line}\n")
+    with pytest.raises(bench.ConfigError):
+        bench.parse_config(path)
+
+
 @pytest.mark.parametrize("word, refine", [("off", False), ("No", False), ("on", True), ("1", True)])
 def test_parse_config_refine_boolean_words(tmp_path, word, refine):
     path = tmp_path / "c.ini"

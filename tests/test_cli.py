@@ -144,6 +144,12 @@ def test_bad_config_value_exit_code(tmp_path):
     assert main(["campaign", "-c", str(path)]) == 2
 
 
+def test_zero_cp_iterations_exit_code(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[estimator]\ncp_max_iters = 0\n")
+    assert main(["campaign", "-c", str(path)]) == 2
+
+
 def test_missing_observation_exit_code(digital_config, tmp_path):
     code = main(
         ["estimate", "-c", str(digital_config), "--observation", str(tmp_path / "missing.cpt")]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpchan import cpsolver
 from cpchan import tensors as tl
 from cpchan.cpsolver import CpFactors, CpSolveConfig, DegenerateComponentError, cp_als, normalize_factors
 
@@ -161,3 +162,121 @@ def test_normalize_zero_column_raises():
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError, match="zero tensor"):
         cp_als(np.zeros((3, 3, 3), dtype=complex), CpSolveConfig(rank=1))
+
+
+@pytest.mark.parametrize("field, value", [("max_iters", 0), ("rel_tol", -1e-8), ("rank", 0), ("restarts", 0)])
+def test_config_rejects_out_of_range(field, value):
+    kwargs = {"rank": 1, field: value}
+    with pytest.raises(ValueError, match=field):
+        CpSolveConfig(**kwargs)
+
+
+def _svd_floored_pinv(g):
+    u, s, vh = np.linalg.svd(g)
+    s = np.maximum(s, cpsolver._PINV_FLOOR * s[0])
+    return (vh.conj().T * (1.0 / s)) @ u.conj().T
+
+
+def _reference_als_run(unfoldings, t_norm, init, cfg):
+    """The textbook sweep: an explicit Khatri-Rao MTTKRP in every mode, the
+    SVD-floored pseudoinverse and the explicit residual for the fit."""
+    factors = [f.copy() for f in init]
+    history = []
+    prev_fit = np.inf
+    for _ in range(cfg.max_iters):
+        for mode in range(3):
+            lo, hi = [k for k in range(3) if k != mode]
+            kr = tl.khatri_rao(factors[hi], factors[lo])
+            gram = (factors[hi].conj().T @ factors[hi]) * (factors[lo].conj().T @ factors[lo])
+            factors[mode] = unfoldings[mode] @ kr.conj() @ _svd_floored_pinv(gram.conj())
+        fit = tl.frobenius(unfoldings[0] - factors[0] @ tl.khatri_rao(factors[2], factors[1]).T) / t_norm
+        history.append(fit)
+        if fit < cpsolver._FIT_FLOOR or abs(prev_fit - fit) <= cfg.rel_tol:
+            break
+        prev_fit = fit
+    return factors, history
+
+
+@pytest.mark.parametrize(
+    "dims, rank, noise",
+    [
+        ((5, 7, 3), 4, 0.1),  # rank above the smallest dimension
+        ((31, 64, 4), 10, 0.05),  # the hybrid receiver's tensor at paper dims
+        ((6, 4, 9), 2, 0.0),  # noiseless: small fits take the explicit residual
+    ],
+)
+def test_als_run_matches_reference_sweep(dims, rank, noise):
+    rng = np.random.default_rng(11)
+    t = tl.cp_compose([_crandn(rng, d, rank) for d in dims]) + noise * _crandn(rng, *dims)
+    unfoldings = [tl.unfold(t, mode) for mode in range(3)]
+    t_norm = tl.frobenius(t)
+    cfg = CpSolveConfig(rank=rank)
+    for init in (
+        cpsolver._svd_init(unfoldings, rank, np.random.default_rng(12)),
+        cpsolver._random_init(dims, rank, np.random.default_rng(13)),
+    ):
+        want_f, want_h = _reference_als_run(unfoldings, t_norm, init, cfg)
+        got_f, got_h = cpsolver._als_run(unfoldings[0], t_norm, init, cfg)
+        assert len(got_h) == len(want_h)
+        # Leaving a swamp amplifies rounding: the reference run with its pinv
+        # taken on the transposed Gram (the same arithmetic, other rounding)
+        # moves mid-run fits of these random-init runs by up to 7e-12. The
+        # final fit, which picks the winning restart, agrees far closer.
+        assert_allclose(got_h, want_h, rtol=0, atol=1e-10)
+        assert abs(got_h[-1] - want_h[-1]) <= 1e-12
+        for got, want in zip(got_f, want_f):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_floored_pinv_of_zero_gram_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        cpsolver._floored_pinv(np.zeros((3, 3), dtype=complex))
+
+
+def test_floored_pinv_matches_svd_floor_on_ill_conditioned_gram():
+    rng = np.random.default_rng(14)
+    q = np.linalg.qr(_crandn(rng, 4, 4))[0]
+    gram = (q * np.array([2.0, 1.0, 1e-4, 1e-6])) @ q.conj().T
+    want = _svd_floored_pinv(gram)
+    assert np.linalg.norm(cpsolver._floored_pinv(gram) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_floored_pinv_floors_the_null_space_of_a_singular_gram():
+    """On a singular PSD Gram every null direction gets the floor.
+
+    The SVD formula is no reference here: it pairs the left and right
+    singular vectors of the rounding-level singular values with an arbitrary
+    phase, so its floored part depends on the rounding.
+    """
+    rng = np.random.default_rng(15)
+    q = np.linalg.qr(_crandn(rng, 4, 4))[0]
+    eig = np.array([2.0, 1.0, 0.0, 0.0])
+    gram = (q * eig) @ q.conj().T
+    want = (q / np.maximum(eig, cpsolver._PINV_FLOOR * eig.max())) @ q.conj().T
+    assert np.linalg.norm(cpsolver._floored_pinv(gram) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_failed_restart_is_redrawn(monkeypatch):
+    """A restart whose first attempt degenerates is redrawn from a random init."""
+    real_pinv, real_random_init = cpsolver._floored_pinv, cpsolver._random_init
+    pinv_calls, random_inits = [], []
+
+    def pinv_failing_first(g):
+        pinv_calls.append(1)
+        if len(pinv_calls) == 1:
+            raise np.linalg.LinAlgError("injected")
+        return real_pinv(g)
+
+    def spy_random_init(*args):
+        random_inits.append(1)
+        return real_random_init(*args)
+
+    monkeypatch.setattr(cpsolver, "_floored_pinv", pinv_failing_first)
+    monkeypatch.setattr(cpsolver, "_random_init", spy_random_init)
+    rng = np.random.default_rng(16)
+    t = tl.cp_compose(_coherent_factors(rng, (6, 7, 8), 2)) + 0.05 * _crandn(rng, 6, 7, 8)
+    factors, history = cp_als(t, CpSolveConfig(rank=2, restarts=1, seed=5))
+    assert len(random_inits) == 1  # restart 0 began from its SVD init, failed, and was redrawn
+    assert len(pinv_calls) > 1
+    assert 0 < history[-1] < 0.1
+    assert_allclose(factors.compose(), t, atol=0.1 * tl.frobenius(t))
