@@ -90,6 +90,8 @@ class CampaignConfig:
             raise ConfigError("mc_runs must be >= 1")
         if len(self.snr_db_list) == 0:
             raise ConfigError("snr_db_list must be nonempty")
+        if min(self.base_seed, self.pilot_seed) < 0:
+            raise ConfigError("[mc] base_seed and [pilot] seed must be non-negative")
 
 
 @dataclass

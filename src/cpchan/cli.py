@@ -67,6 +67,14 @@ def _path_line(p: PathParams) -> str:
     )
 
 
+def _read(load, path):
+    """``load(path)``, reporting a malformed file as an I/O error like a missing one."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise OSError(str(exc)) from exc
+
+
 def _cmd_simulate(cfg: CampaignConfig, args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -83,13 +91,13 @@ def _cmd_simulate(cfg: CampaignConfig, args) -> int:
 
 
 def _cmd_estimate(cfg: CampaignConfig, args) -> int:
-    obs = load_tensor(args.observation)
+    obs = _read(load_tensor, args.observation)
     result = _estimate(cfg, make_pilot(cfg), obs, cfg.estimator)
     print(f"l_hat={result.l_hat}")
     for name, secs in result.timings.items():
         print(f"time_{name}_ms={1e3 * secs:.3f}")
     if args.truth:
-        h = load_tensor(args.truth)
+        h = _read(load_tensor, args.truth)
         print(f"rel_err={relative_error(h, result.h_hat):.6g}")
     if args.params_out:
         save_params(args.params_out, result.params)
@@ -114,12 +122,12 @@ def _cmd_campaign(cfg: CampaignConfig, args) -> int:
 
 
 def _cmd_oracle(cfg: CampaignConfig, args) -> int:
-    obs = load_tensor(args.observation)
+    obs = _read(load_tensor, args.observation)
     pilot = make_pilot(cfg)
     est = oracle_single_path(obs, pilot, cfg.mode, grid_points_per_dim=args.grid)
     print(_path_line(est))
     if args.truth:
-        truth = load_params(args.truth)
+        truth = _read(load_params, args.truth)
         result = match_paths(truth, ChannelParamSet([est]))
         for name, value in result.rmse.items():
             print(f"err_{name}={value:.6g}")

@@ -39,11 +39,13 @@ def load_tensor(path) -> np.ndarray:
         raise ValueError(f"{path}: not a CPT1 tensor file")
     order = raw[4]
     header_end = 5 + 8 * order
+    if len(raw) < header_end:
+        raise ValueError(f"{path}: header truncated, {order} extents need {header_end} bytes, file has {len(raw)}")
     dims = struct.unpack(f"<{order}Q", raw[5:header_end])
     count = int(np.prod(dims, dtype=np.int64))
+    if len(raw) - header_end != 16 * count:
+        raise ValueError(f"{path}: payload holds {(len(raw) - header_end) / 16:g} entries, expected {count}")
     flat = np.frombuffer(raw, dtype="<f8", offset=header_end)
-    if flat.size != 2 * count:
-        raise ValueError(f"{path}: payload holds {flat.size // 2} entries, expected {count}")
     vec = flat[0::2] + 1j * flat[1::2]
     return vec.reshape(dims, order="F")
 
@@ -64,6 +66,9 @@ def load_params(path) -> ChannelParamSet:
         fields = line.split()
         if len(fields) != 6:
             raise ValueError(f"{path}:{ln}: expected 6 fields, got {len(fields)}")
-        re_b, im_b, w1, w2, psi, vs = (float(x) for x in fields)
+        try:
+            re_b, im_b, w1, w2, psi, vs = (float(x) for x in fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
         paths.append(PathParams(complex(re_b, im_b), w1, w2, psi, vs))
     return ChannelParamSet(paths)

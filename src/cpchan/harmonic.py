@@ -5,6 +5,12 @@ Vandermonde steering vectors, exact maximization of trigonometric-polynomial
 ratios on the unit circle, and a 2-D alternating coordinate descent built on
 that exact 1-D step.
 
+J is evaluated one way for numerator and denominator alike: a sum
+sum_k c_k e^{jkw} at arbitrary points by one matrix product
+(:func:`_trig_values`), or on a half-offset uniform grid by one FFT
+(:func:`_fft_values`). The real denominator g enters both as the one-sided
+coefficients e_0 = d_0, e_m = 2 d_m of g(w) = Re sum_m e_m e^{jmw}.
+
 The exact 1-D step has two sources of candidate maximizers. When the
 denominator is constant, the objective is a trigonometric polynomial of
 degree D: an FFT grid, Bernstein's inequality (|J''| <= D^2 max J,
@@ -21,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "TrigPolyRatio",
@@ -60,12 +65,25 @@ def _full_laurent(half: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate([np.conj(d[1:])[::-1], d]), d.size - 1
 
 
-def _laurent_values(coeffs: np.ndarray, offset: int, omega: np.ndarray) -> np.ndarray:
-    z = np.exp(1j * np.asarray(omega, dtype=float))
-    vals = npoly.polyval(z, coeffs)
-    if offset:
-        vals = vals * z ** (-offset)
-    return vals
+def _one_sided(half: np.ndarray) -> np.ndarray:
+    """Coefficients e_m of g(w) = Re(sum_m e_m e^{jmw}) for the Hermitian half
+    coefficients d_0..d_M of g: e_0 = d_0 and e_m = 2 d_m."""
+    return np.concatenate([half[:1], 2.0 * half[1:]])
+
+
+def _trig_values(coeffs: np.ndarray, omega) -> np.ndarray:
+    """sum_k coeffs[k] e^{jkw} at scalar or array ``omega``, by one matrix
+    product; a 2-D ``coeffs`` evaluates each of its columns."""
+    omega = np.asarray(omega, dtype=float)
+    return np.exp(1j * np.multiply.outer(omega, np.arange(coeffs.shape[0]))) @ coeffs
+
+
+def _fft_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeffs[k] e^{jkw} on the n-point half-offset grid
+    w_i = 2 pi (i + 1/2) / n, by one zero-padded FFT."""
+    if n < coeffs.size:
+        raise ValueError("grid too small for the coefficient length")
+    return np.fft.ifft(coeffs * np.exp(1j * np.pi * np.arange(coeffs.size) / n), n) * n
 
 
 @dataclass(frozen=True)
@@ -76,11 +94,14 @@ class TrigPolyRatio:
     ``den`` holds the Hermitian half coefficients d_0..d_M of the real-valued
     trigonometric polynomial g(w) = d_0 + 2*Re(sum_{m>=1} d_m e^{jmw});
     an empty ``den`` is stored as [1], g == 1. g must be strictly positive,
-    which is checked on a dense offset grid at construction.
+    which is checked at construction on the 4096-point offset grid. Those
+    grid values (a single value when g is constant) are kept for
+    :func:`max_unit_circle`.
     """
 
     num: np.ndarray
     den: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=complex))
+    _den_on_grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.num, dtype=complex))
@@ -93,7 +114,9 @@ class TrigPolyRatio:
         object.__setattr__(self, "den", den)
         if abs(den[0].imag) > 1e-9 * max(1.0, abs(den[0].real)):
             raise ValueError("leading denominator coefficient must be real")
-        gmin = den[0].real if den.size == 1 else float(np.min(_den_grid(den, _FALLBACK_GRID)))
+        g = den[:1].real if den.size == 1 else np.real(_fft_values(_one_sided(den), _FALLBACK_GRID))
+        object.__setattr__(self, "_den_on_grid", g)
+        gmin = float(np.min(g))
         if gmin <= 0:
             raise ValueError(f"denominator is not strictly positive (min {gmin:g} on check grid)")
 
@@ -154,56 +177,27 @@ def esprit_tone(v: np.ndarray) -> float:
 
 def eval_ratio(r: TrigPolyRatio, omega) -> np.ndarray:
     """Evaluate J(w) = |f|^2 / g at scalar or vector ``omega``."""
-    omega = np.asarray(omega, dtype=float)
-    z = np.exp(1j * omega)
-    num = np.abs(npoly.polyval(z, r.num)) ** 2
-    full, off = _full_laurent(r.den)
-    g = np.real(_laurent_values(full, off, omega))
+    num = np.abs(_trig_values(r.num, omega)) ** 2
+    g = np.real(_trig_values(_one_sided(r.den), omega))
     out = np.zeros_like(num)
     np.divide(num, g, out=out, where=g > 0)
     return out
 
 
 @lru_cache(maxsize=32)
-def _offset_grid_raw(n: int) -> np.ndarray:
-    w = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=32)
 def _offset_grid(n: int) -> np.ndarray:
-    w = wrap_angle(_offset_grid_raw(n))
+    w = wrap_angle(2.0 * np.pi * (np.arange(n) + 0.5) / n)
     w.setflags(write=False)
     return w
-
-
-def _den_grid(den: np.ndarray, n: int) -> np.ndarray:
-    """Denominator values on the n-point half-offset uniform grid (FFT)."""
-    full, off = _full_laurent(den)
-    if n < full.size:
-        raise ValueError("grid too small for the coefficient length")
-    cden = np.zeros(n, dtype=complex)
-    cden[: full.size] = full * np.exp(1j * np.pi * np.arange(full.size) / n)
-    return np.real(np.fft.ifft(cden) * n * np.exp(-1j * off * _offset_grid_raw(n)))
 
 
 def _grid_values(r: TrigPolyRatio, n: int) -> tuple[np.ndarray, np.ndarray]:
     """J on the n-point half-offset uniform grid, via zero-padded FFTs."""
-    if n < max(r.num.size, 2 * r.den.size):
-        raise ValueError("grid too small for the coefficient length")
-    k = np.arange(r.num.size)
-    cnum = np.zeros(n, dtype=complex)
-    cnum[: r.num.size] = r.num * np.exp(1j * np.pi * k / n)
-    fvals = np.fft.ifft(cnum) * n
-    num = np.abs(fvals) ** 2
-    omegas = _offset_grid(n)
-    if r.den.size == 1:
-        return omegas, num / r.den[0].real
-    g = _den_grid(r.den, n)
+    num = np.abs(_fft_values(r.num, n)) ** 2
+    g = r._den_on_grid if r.den.size == 1 or n == _FALLBACK_GRID else np.real(_fft_values(_one_sided(r.den), n))
     vals = np.zeros_like(num)
     np.divide(num, g, out=vals, where=g > 0)
-    return omegas, vals
+    return _offset_grid(n), vals
 
 
 def _stationary_candidates(r: TrigPolyRatio) -> np.ndarray:
@@ -239,16 +233,18 @@ def _stationary_candidates(r: TrigPolyRatio) -> np.ndarray:
 
 def _polish_stationary(h: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """A couple of Newton steps on the (real) derivative numerator, in the
-    angle domain, to tighten companion roots before evaluation."""
-    off = (h.size - 1) // 2
-    hdot = h * (1j * (np.arange(h.size) - off))
+    angle domain, to tighten companion roots before evaluation.
+
+    ``h`` is the Hermitian Laurent vector of degrees -M..M, so its values are
+    those of the one-sided form of its half h_0..h_M."""
+    e = _one_sided(h[(h.size - 1) // 2 :])
+    e = np.stack([e, 1j * np.arange(e.size) * e], axis=1)
     out = omegas.copy()
     for _ in range(2):
-        fv = np.real(_laurent_values(h, off, out))
-        fd = np.real(_laurent_values(hdot, off, out))
+        fv, fd = np.real(_trig_values(e, out)).T
         step = np.where(np.abs(fd) > 0, fv / np.where(np.abs(fd) > 0, fd, 1.0), 0.0)
         cand = out - step
-        better = np.abs(np.real(_laurent_values(h, off, cand))) < np.abs(fv)
+        better = np.abs(np.real(_trig_values(e[:, 0], cand))) < np.abs(fv)
         out = np.where(better, cand, out)
     return wrap_angle(out)
 
@@ -281,11 +277,10 @@ def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarr
         return None
     k = np.arange(deg + 1)
     c1 = 1j * k * c
-    c2 = 1j * k * c1
+    derivs = np.stack([c, c1, 1j * k * c1], axis=1)
 
     def slope_curvature(w):
-        e = np.exp(1j * np.outer(w, k))
-        f, f1, f2 = e @ c, e @ c1, e @ c2
+        f, f1, f2 = _trig_values(derivs, w).T
         return 2.0 * np.real(np.conj(f) * f1), 2.0 * (np.abs(f1) ** 2 + np.real(np.conj(f) * f2))
 
     w = grid_w[idx]

@@ -43,12 +43,10 @@ __all__ = [
     "EstimationError",
     "refine_a2",
     "jade_digital",
-    "jade_objective_digital",
     "estimate_digital",
     "estimate_psi_hybrid",
     "refine_a1",
     "jade_hybrid",
-    "jade_objective_hybrid",
     "estimate_hybrid",
 ]
 
@@ -152,18 +150,9 @@ def _steering(x: np.ndarray, omega: float, varsigma: float) -> np.ndarray:
     return np.exp(1j * omega * np.arange(x.shape[0])) * xs
 
 
-def _jade_objective(a_hat: np.ndarray, x: np.ndarray, omega: float, varsigma: float) -> float:
-    """Matched-filter ratio |<alpha, a>|^2 / ||alpha||^2 at one point."""
-    alpha = _steering(x, omega, varsigma)
-    denom = float(np.vdot(alpha, alpha).real)
-    if denom == 0:
-        return 0.0
-    return float(np.abs(np.vdot(alpha, a_hat)) ** 2 / denom)
-
-
-def _jade(a_hat: np.ndarray, x: np.ndarray, cfg: AcdConfig | None) -> tuple[float, float, complex]:
+def _jade(a_hat: np.ndarray, x: np.ndarray, cfg: AcdConfig | None) -> tuple[float, float, complex, float]:
     """Maximize J over both frequencies by alternating exact line searches,
-    then return them with the closed-form gain."""
+    then return them with the closed-form gain and the maximum of J."""
     a_hat = np.asarray(a_hat, dtype=complex).ravel()
     if a_hat.size != x.shape[0]:
         raise ValueError("mode vector length must match the pilot")
@@ -172,30 +161,22 @@ def _jade(a_hat: np.ndarray, x: np.ndarray, cfg: AcdConfig | None) -> tuple[floa
     res = acd_2d(_slices(a_hat, x), cfg or AcdConfig())
     alpha = _steering(x, res.omega_a, res.omega_b)
     b = complex(np.vdot(alpha, a_hat) / np.vdot(alpha, alpha).real)
-    return res.omega_a, res.omega_b, b
-
-
-def jade_objective_digital(a2_hat: np.ndarray, pilot: PilotDigital, omega2: float, varsigma: float) -> float:
-    """Doppler/departure objective J at one point; X is the precoder."""
-    return _jade_objective(a2_hat, pilot.precoder, omega2, varsigma)
+    return res.omega_a, res.omega_b, b, res.objective
 
 
 def jade_digital(
     a2_hat: np.ndarray, pilot: PilotDigital, cfg: AcdConfig | None = None
-) -> tuple[float, float, complex]:
-    """Joint Doppler/departure estimation from the symbol-mode vector."""
+) -> tuple[float, float, complex, float]:
+    """Joint Doppler/departure estimation from the symbol-mode vector:
+    (omega2, varsigma, gain, J at the maximum)."""
     return _jade(a2_hat, pilot.precoder, cfg)
-
-
-def jade_objective_hybrid(a1_hat: np.ndarray, pilot: PilotHybrid, omega1: float, varsigma: float) -> float:
-    """Delay/departure objective J at one point; X is the pilot waveform."""
-    return _jade_objective(a1_hat, pilot_waveform(pilot), omega1, varsigma)
 
 
 def jade_hybrid(
     a1_hat: np.ndarray, pilot: PilotHybrid, cfg: AcdConfig | None = None
-) -> tuple[float, float, complex]:
-    """Joint delay/departure estimation from the subcarrier-mode vector."""
+) -> tuple[float, float, complex, float]:
+    """Joint delay/departure estimation from the subcarrier-mode vector:
+    (omega1, varsigma, gain, J at the maximum)."""
     return _jade(a1_hat, pilot_waveform(pilot), cfg)
 
 
@@ -228,8 +209,8 @@ def _digital_path(c1, c2, c3, pilot: PilotDigital, cfg: EstimatorConfig):
         a2_hat = refine_a2(component, v1, v3)
     else:
         a2_hat = c1[0] * c3[0] * c2
-    omega2, varsigma, b = jade_digital(a2_hat, pilot, cfg.acd)
-    return b, omega1, omega2, psi, varsigma, jade_objective_digital(a2_hat, pilot, omega2, varsigma)
+    omega2, varsigma, b, objective = jade_digital(a2_hat, pilot, cfg.acd)
+    return b, omega1, omega2, psi, varsigma, objective
 
 
 def _hybrid_path(c1, c2, c3, pilot: PilotHybrid, cfg: EstimatorConfig):
@@ -246,8 +227,8 @@ def _hybrid_path(c1, c2, c3, pilot: PilotHybrid, cfg: EstimatorConfig):
         if r_psi[m_star] == 0:
             raise PilotDesignError("combiner response vanishes at the estimated arrival angle")
         a1_hat = c2[0] * (c3[m_star] / r_psi[m_star]) * c1
-    omega1, varsigma, b = jade_hybrid(a1_hat, pilot, cfg.acd)
-    return b, omega1, omega2, psi, varsigma, jade_objective_hybrid(a1_hat, pilot, omega1, varsigma)
+    omega1, varsigma, b, objective = jade_hybrid(a1_hat, pilot, cfg.acd)
+    return b, omega1, omega2, psi, varsigma, objective
 
 
 def _path_estimates(factors: CpFactors, path_step, pilot, cfg: EstimatorConfig) -> list[tuple[PathParams, float]]:

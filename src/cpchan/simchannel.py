@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import vandermonde, wrap_angle
+from .harmonic import wrap_angle
+from .tensors import cp_compose
 
 __all__ = [
     "SystemDims",
@@ -229,16 +230,11 @@ def draw_channel(cfg: ChannelGenConfig) -> ChannelParamSet:
 def channel_tensor(params: ChannelParamSet, dims: SystemDims) -> np.ndarray:
     """Order-4 channel tensor (n_c, n_s, n_r, n_t): a sum of separable
     complex exponentials, one rank-1 term per path."""
-    h = np.zeros((dims.n_c, dims.n_s, dims.n_r, dims.n_t), dtype=complex)
-    for p in params.paths:
-        h += p.b * np.einsum(
-            "n,t,u,v->ntuv",
-            vandermonde(p.omega1, dims.n_c),
-            vandermonde(p.omega2, dims.n_s),
-            vandermonde(p.psi, dims.n_r),
-            vandermonde(p.varsigma, dims.n_t),
-        )
-    return h
+    angles = np.array([[p.omega1, p.omega2, p.psi, p.varsigma] for p in params.paths]).reshape(-1, 4)
+    sizes = (dims.n_c, dims.n_s, dims.n_r, dims.n_t)
+    factors = [np.exp(1j * np.outer(np.arange(n), angles[:, m])) for m, n in enumerate(sizes)]
+    factors[0] = factors[0] * params.gains()
+    return cp_compose(factors)
 
 
 def make_pilot_digital(dims: SystemDims, seed: int = 0) -> PilotDigital:

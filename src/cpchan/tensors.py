@@ -17,6 +17,7 @@ With these choices the workhorse identity for a third-order CP model is
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +98,9 @@ def rank1_compose(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def cp_compose(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of rank-1 terms defined by factor matrices sharing a column count K."""
+    """Sum of rank-1 terms defined by factor matrices sharing a column count K,
+    as the product of the Khatri-Rao products of the leading and the
+    trailing half of the factors."""
     mats = [np.asarray(f, dtype=complex) for f in factors]
     if len(mats) == 0:
         raise ValueError("factor list is empty")
@@ -106,13 +109,13 @@ def cp_compose(factors: Sequence[np.ndarray]) -> np.ndarray:
     ranks = {m.shape[1] for m in mats}
     if len(ranks) != 1:
         raise ValueError(f"factor matrices disagree on rank: {sorted(ranks)}")
-    if len(mats) == 3:
-        return np.einsum("ik,jk,uk->iju", *mats)
-    rank = ranks.pop()
-    out = np.zeros(tuple(m.shape[0] for m in mats), dtype=complex)
-    for k in range(rank):
-        out = out + rank1_compose([m[:, k] for m in mats])
-    return out
+    # The unfolding with the leading half of the modes on the rows is
+    # kr(leading) @ kr(trailing).T; neither Khatri-Rao factor is as large
+    # as the tensor, and in each the lower-numbered mode varies slowest.
+    ones = np.ones((1, ranks.pop()), dtype=complex)
+    half = len(mats) // 2
+    rows, cols = (reduce(khatri_rao, part, ones) for part in (mats[:half], mats[half:]))
+    return (rows @ cols.T).reshape(tuple(m.shape[0] for m in mats))
 
 
 def frobenius(t: np.ndarray) -> float:

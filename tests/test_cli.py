@@ -150,6 +150,38 @@ def test_zero_cp_iterations_exit_code(tmp_path):
     assert main(["campaign", "-c", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["[mc]\nruns = 1\nbase_seed = -3\n", "[pilot]\nseed = -1\n"], ids=["base_seed", "pilot_seed"]
+)
+def test_negative_seed_exit_code(tmp_path, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["campaign", "-c", str(path)]) == 2
+
+
+def _single_io_error(capsys, name):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:") and name in err[0]
+
+
+def test_malformed_observation_exit_code(digital_config, tmp_path, capsys):
+    obs = tmp_path / "short.cpt"
+    obs.write_bytes(b"CPT1\x03" + bytes(10))  # three extents need 24 header bytes
+    for command in ("estimate", "oracle"):
+        assert main([command, "-c", str(digital_config), "--observation", str(obs)]) == 3
+        _single_io_error(capsys, "short.cpt")
+
+
+def test_malformed_params_exit_code(digital_config, tmp_path, capsys):
+    out = tmp_path / "scene"
+    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    truth = tmp_path / "three.txt"
+    truth.write_text("1.0 2.0 3.0\n")
+    argv = ["oracle", "-c", str(digital_config), "--observation", str(out / "obs.cpt"), "--grid", "16"]
+    assert main([*argv, "--truth", str(truth)]) == 3
+    _single_io_error(capsys, "three.txt")
+
+
 def test_missing_observation_exit_code(digital_config, tmp_path):
     code = main(
         ["estimate", "-c", str(digital_config), "--observation", str(tmp_path / "missing.cpt")]

@@ -55,6 +55,14 @@ def test_tensor_truncated_payload(tmp_path):
         load_tensor(path)
 
 
+def test_tensor_truncated_header(tmp_path):
+    path = tmp_path / "t.cpt"
+    save_tensor(path, np.ones((2, 3, 4)))
+    path.write_bytes(path.read_bytes()[:12])
+    with pytest.raises(ValueError, match=r"t\.cpt: header truncated"):
+        load_tensor(path)
+
+
 def test_params_roundtrip(tmp_path):
     chan = draw_channel(ChannelGenConfig(l=5, seed=3))
     path = tmp_path / "params.txt"
@@ -69,4 +77,11 @@ def test_params_field_count_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="6 fields"):
+        load_params(path)
+
+
+def test_params_bad_number_names_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1.0 2.0 3.0 x 5.0 6.0\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:1: could not convert"):
         load_params(path)

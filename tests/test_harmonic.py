@@ -93,6 +93,20 @@ def test_esprit_rejects_short_and_zero():
         esprit_tone(np.zeros(8))
 
 
+# --- evaluation of J ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_grid_values_match_point_evaluation(n):
+    """The FFT grid and the point evaluator give the same J, for constant
+    and non-constant denominators."""
+    rng = np.random.default_rng(n)
+    for den_deg in range(9):
+        r = _random_ratio(rng, int(rng.integers(1, 32)), den_deg)
+        grid_w, grid_v = _grid_values(r, n)
+        assert_allclose(grid_v, eval_ratio(r, grid_w), rtol=1e-10, atol=1e-12 * np.max(grid_v))
+
+
 # --- max_unit_circle --------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from cpchan import pipelines as pl
 from cpchan import simchannel as sc
 from cpchan import tensors as tl
 from cpchan.cpsolver import CpFactors, CpSolveConfig
-from cpchan.harmonic import AcdConfig
+from cpchan.harmonic import AcdConfig, eval_ratio
 from cpchan.simchannel import wrap_angle
 
 
@@ -25,6 +25,17 @@ def _tight_config(restarts=1, starts=1):
 
 def _angles(p):
     return np.array([p.omega1, p.omega2, p.psi, p.varsigma])
+
+
+def _objective(a_hat, x, omega, varsigma):
+    """J(omega, varsigma) of the 2-D fit, from the exact slice the descent maximizes."""
+    return float(eval_ratio(pl._slices(np.asarray(a_hat, dtype=complex), x)(0, varsigma), omega))
+
+
+def _matched_filter(a_hat, x, omega, varsigma):
+    """|<alpha, a>|^2 / ||alpha||^2 with alpha the steering vector at (omega, varsigma)."""
+    alpha = pl._steering(x, omega, varsigma)
+    return abs(np.vdot(alpha, a_hat)) ** 2 / np.vdot(alpha, alpha).real
 
 
 # --- refine_a2 / refine_a1 ----------------------------------------------------
@@ -102,10 +113,11 @@ def test_jade_digital_forward_synthesis():
     true = (0.8, -1.4, 1.5 - 0.5j)
     alpha = pilot.precoder @ np.exp(1j * true[1] * np.arange(4))
     a2 = true[2] * np.exp(1j * true[0] * np.arange(16)) * alpha
-    omega2, varsigma, b = pl.jade_digital(a2, pilot)
+    omega2, varsigma, b, objective = pl.jade_digital(a2, pilot)
     assert omega2 == pytest.approx(true[0], abs=1e-6)
     assert varsigma == pytest.approx(true[1], abs=1e-6)
     assert abs(b - true[2]) / abs(true[2]) < 1e-6
+    assert objective == pytest.approx(_matched_filter(a2, pilot.precoder, omega2, varsigma), rel=1e-12)
 
 
 def test_jade_digital_dc_closed_form():
@@ -119,15 +131,11 @@ def test_jade_digital_dc_closed_form():
     assert_allclose(alpha0, n_t * np.ones(n_s))
     b0 = np.vdot(alpha0, a2) / np.vdot(alpha0, alpha0).real
     assert b0 == pytest.approx(np.mean(a2) / n_t)
-    assert pl.jade_objective_digital(a2, pilot, 0.0, 0.0) == pytest.approx(
-        abs(np.sum(a2)) ** 2 / n_s
-    )
-    omega2, varsigma, b = pl.jade_digital(a2, pilot)
+    assert _objective(a2, pilot.precoder, 0.0, 0.0) == pytest.approx(abs(np.sum(a2)) ** 2 / n_s)
+    omega2, varsigma, b, objective = pl.jade_digital(a2, pilot)
     alpha = pl._steering(pilot.precoder, omega2, varsigma)
     assert b == pytest.approx(np.vdot(alpha, a2) / np.vdot(alpha, alpha).real)
-    assert pl.jade_objective_digital(a2, pilot, omega2, varsigma) >= pl.jade_objective_digital(
-        a2, pilot, 0.0, 0.0
-    ) - 1e-12
+    assert objective >= _objective(a2, pilot.precoder, 0.0, 0.0) - 1e-12
 
 
 def test_jade_digital_dominates_truth_under_noise():
@@ -139,10 +147,9 @@ def test_jade_digital_dominates_truth_under_noise():
         pilot.precoder @ np.exp(1j * true[1] * np.arange(4))
     )
     a2 = 2.0 * alpha + 0.3 * _crandn(rng, 16)
-    omega2, varsigma, _ = pl.jade_digital(a2, pilot)
-    assert pl.jade_objective_digital(a2, pilot, omega2, varsigma) >= pl.jade_objective_digital(
-        a2, pilot, *true
-    ) - 1e-9
+    omega2, varsigma, _, _ = pl.jade_digital(a2, pilot)
+    x = pilot.precoder
+    assert _objective(a2, x, omega2, varsigma) >= _objective(a2, x, *true) - 1e-9
 
 
 def test_jade_digital_zero_pilot_rejected():
@@ -273,10 +280,12 @@ def test_jade_hybrid_forward_synthesis():
     true = (1.1, -0.7, 0.4 + 0.9j)
     beta = np.exp(1j * true[0] * np.arange(31)) * sc.transmit_response(pilot, true[1])
     a1 = true[2] * beta
-    omega1, varsigma, b = pl.jade_hybrid(a1, pilot)
+    omega1, varsigma, b, objective = pl.jade_hybrid(a1, pilot)
     assert omega1 == pytest.approx(true[0], abs=1e-6)
     assert varsigma == pytest.approx(true[1], abs=1e-6)
     assert abs(b - true[2]) / abs(true[2]) < 1e-6
+    x = sc.pilot_waveform(pilot)
+    assert objective == pytest.approx(_matched_filter(a1, x, omega1, varsigma), rel=1e-12)
 
 
 def test_jade_hybrid_uniform_pilot_separable():
@@ -286,7 +295,7 @@ def test_jade_hybrid_uniform_pilot_separable():
     pilot = sc.PilotHybrid(np.ones((n_t, 1)), np.ones((n_c, 1)), np.eye(4))
     xs = np.sum(np.exp(1j * 0.6 * np.arange(n_t)))  # constant over subcarriers
     a1 = 1.7 * xs * np.exp(1j * -2.1 * np.arange(n_c))
-    omega1, _, _ = pl.jade_hybrid(a1, pilot)
+    omega1, _, _, _ = pl.jade_hybrid(a1, pilot)
     assert omega1 == pytest.approx(-2.1, abs=1e-8)
 
 
@@ -297,10 +306,9 @@ def test_jade_hybrid_dominates_truth_under_noise():
     true = (-0.4, 1.3)
     beta = np.exp(1j * true[0] * np.arange(16)) * sc.transmit_response(pilot, true[1])
     a1 = beta + 0.2 * _crandn(rng, 16)
-    omega1, varsigma, _ = pl.jade_hybrid(a1, pilot)
-    assert pl.jade_objective_hybrid(a1, pilot, omega1, varsigma) >= pl.jade_objective_hybrid(
-        a1, pilot, *true
-    ) - 1e-9
+    omega1, varsigma, _, _ = pl.jade_hybrid(a1, pilot)
+    x = sc.pilot_waveform(pilot)
+    assert _objective(a1, x, omega1, varsigma) >= _objective(a1, x, *true) - 1e-9
 
 
 def test_jade_digital_with_hybrid_waveform_matches_jade_hybrid():
@@ -311,9 +319,7 @@ def test_jade_digital_with_hybrid_waveform_matches_jade_hybrid():
     pilot_d = sc.PilotDigital(x, np.ones((4, x.shape[0])))
     rng = np.random.default_rng(10)
     a = _crandn(rng, x.shape[0])
-    fit = pl.jade_hybrid(a, pilot_h)
-    assert pl.jade_digital(a, pilot_d) == fit
-    assert pl.jade_objective_digital(a, pilot_d, *fit[:2]) == pl.jade_objective_hybrid(a, pilot_h, *fit[:2])
+    assert pl.jade_digital(a, pilot_d) == pl.jade_hybrid(a, pilot_h)
 
 
 # --- per-path stage (both receivers) ----------------------------------------------

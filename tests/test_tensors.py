@@ -134,7 +134,8 @@ def test_cp_compose_orthogonal_energy_adds():
 
 
 def test_cp_compose_matches_bruteforce_triple_loop():
-    """Elementwise oracle: t[i,j,u] = sum_k a[i,k] b[j,k] c[u,k]."""
+    """Elementwise oracle: t[i,j,u] = sum_k a[i,k] b[j,k] c[u,k], and the
+    same with a fourth factor: t[i,j,u,v] = sum_k a[i,k] b[j,k] c[u,k] d[v,k]."""
     rng = np.random.default_rng(11)
     a, b, c = _crandn(rng, 4, 3), _crandn(rng, 5, 3), _crandn(rng, 6, 3)
     t = tl.cp_compose([a, b, c])
@@ -144,6 +145,13 @@ def test_cp_compose_matches_bruteforce_triple_loop():
             for u in range(6):
                 brute[i, j, u] = sum(a[i, k] * b[j, k] * c[u, k] for k in range(3))
     assert_allclose(t, brute, atol=1e-13)
+
+    d = _crandn(rng, 2, 3)
+    t4 = tl.cp_compose([a, b, c, d])
+    brute4 = np.zeros((4, 5, 6, 2), dtype=complex)
+    for i, j, u, v in np.ndindex(*brute4.shape):
+        brute4[i, j, u, v] = sum(a[i, k] * b[j, k] * c[u, k] * d[v, k] for k in range(3))
+    assert_allclose(t4, brute4, atol=1e-13)
 
 
 def test_cp_compose_rank_mismatch():
