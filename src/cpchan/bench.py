@@ -88,8 +88,8 @@ class CampaignConfig:
             raise ConfigError(f"mode must be 'digital' or 'hybrid', got {self.mode!r}")
         if self.mc_runs < 1:
             raise ConfigError("mc_runs must be >= 1")
-        if len(self.snr_db_list) == 0:
-            raise ConfigError("snr_db_list must be nonempty")
+        if len(self.snr_db_list) == 0 or not np.all(np.isfinite(self.snr_db_list)):
+            raise ConfigError(f"snr_db_list must be nonempty and finite, got {self.snr_db_list}")
         if min(self.base_seed, self.pilot_seed) < 0:
             raise ConfigError("[mc] base_seed and [pilot] seed must be non-negative")
 
@@ -417,8 +417,8 @@ def parse_config(path) -> CampaignConfig:
     sections [system] [channel] [pilot] [noise] [estimator] [mc] [output]."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

@@ -76,10 +76,12 @@ def _read(load, path):
 
 
 def _cmd_simulate(cfg: CampaignConfig, args) -> int:
+    if args.snr_db is not None:
+        cfg = replace(cfg, snr_db_list=(args.snr_db,))
+    snr_db = cfg.snr_db_list[0]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pilot = make_pilot(cfg)
-    snr_db = cfg.snr_db_list[0] if args.snr_db is None else args.snr_db
     # the scene and the noise of campaign run 0
     chan, h, n0 = _scene(cfg, pilot, snr_db, cfg.base_seed)
     obs = _observe(cfg, pilot, h, n0, cfg.base_seed + _NOISE_SEED_OFFSET)

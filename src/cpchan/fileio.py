@@ -59,8 +59,12 @@ def save_params(path, params: ChannelParamSet) -> None:
 
 
 def load_params(path) -> ChannelParamSet:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     paths = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split()

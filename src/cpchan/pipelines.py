@@ -252,11 +252,6 @@ def _estimate(obs: np.ndarray, dims: SystemDims, path_step, pilot, cfg: Estimato
     report = estimate_model_order(obs)
     timings["model_order"] = time.perf_counter() - t0
     l_hat = report.l_hat
-    n_1, n_2, n_3 = obs.shape
-    bound = min(n_1 * n_2, n_1 * n_3, n_2 * n_3)
-    if l_hat > bound:
-        diagnostics["order_clamped"] = {"detected": l_hat, "bound": bound}
-        l_hat = bound
     diagnostics["model_order"] = report.per_mode_estimates
     if l_hat == 0:
         timings["cp"] = 0.0

@@ -159,6 +159,32 @@ def test_negative_seed_exit_code(tmp_path, text):
     assert main(["campaign", "-c", str(path)]) == 2
 
 
+def _single_config_error(capsys, name=""):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and name in err[0]
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_non_finite_snr_exit_code(digital_config, tmp_path, capsys, snr):
+    path = tmp_path / "snr.ini"
+    path.write_text(digital_config.read_text().replace("snr_db = 200", f"snr_db = 10, {snr}"))
+    assert main(["campaign", "-c", str(path)]) == 2
+    _single_config_error(capsys)
+    out = tmp_path / "scene"
+    assert main(["simulate", "-c", str(digital_config), "-o", str(out), f"--snr-db={snr}"]) == 2
+    _single_config_error(capsys)
+    assert not out.exists()
+
+
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin.ini"
+    path.write_bytes(b"[mc]\nruns = 2 ; \xe9t\xe9\n")
+    dummy = str(tmp_path / "obs.cpt")
+    for argv in (["simulate"], ["estimate", "--observation", dummy], ["campaign"], ["oracle", "--observation", dummy]):
+        assert main([*argv, "-c", str(path)]) == 2
+        _single_config_error(capsys, "latin.ini")
+
+
 def _single_io_error(capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("i/o error:") and name in err[0]
@@ -180,6 +206,10 @@ def test_malformed_params_exit_code(digital_config, tmp_path, capsys):
     argv = ["oracle", "-c", str(digital_config), "--observation", str(out / "obs.cpt"), "--grid", "16"]
     assert main([*argv, "--truth", str(truth)]) == 3
     _single_io_error(capsys, "three.txt")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"\x80 1.0 2.0 3.0 4.0 5.0\n")
+    assert main([*argv, "--truth", str(latin)]) == 3
+    _single_io_error(capsys, "latin.txt")
 
 
 def test_missing_observation_exit_code(digital_config, tmp_path):

@@ -85,3 +85,10 @@ def test_params_bad_number_names_line(tmp_path):
     path.write_text("1.0 2.0 3.0 x 5.0 6.0\n")
     with pytest.raises(ValueError, match=r"bad\.txt:1: could not convert"):
         load_params(path)
+
+
+def test_params_not_utf8_names_file(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\x80 1.0 2.0 3.0 4.0 5.0\n")
+    with pytest.raises(ValueError, match=r"latin\.txt: 'utf-8' codec"):
+        load_params(path)

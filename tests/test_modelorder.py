@@ -1,6 +1,8 @@
 """MDL model-order detection tests, checked against an independent
 re-implementation of the criterion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,18 @@ def test_zero_tensor_gives_zero():
     report = estimate_model_order(np.zeros((4, 4, 4), dtype=complex))
     assert report.l_hat == 0
     assert report.per_mode_estimates == [0, 0, 0]
+
+
+def test_order_stays_below_cp_rank_bound():
+    # MDL on the mode-k unfolding returns at most min(n_k, n_i n_j) - 1, which
+    # is below min(n_1 n_2, n_1 n_3, n_2 n_3) for every shape
+    rng = np.random.default_rng(12)
+    for shape in itertools.product(range(1, 7), repeat=3):
+        n1, n2, n3 = shape
+        bound = min(n1 * n2, n1 * n3, n2 * n3)
+        rank1 = tl.rank1_compose([_crandn(rng, n) for n in shape])
+        for t in (_crandn(rng, *shape), rank1 + 1e-3 * _crandn(rng, *shape)):
+            assert estimate_model_order(t).l_hat < bound, shape
 
 
 def test_rank1_with_tiny_jitter():
