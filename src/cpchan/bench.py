@@ -460,9 +460,9 @@ def parse_config(path) -> CampaignConfig:
         estimator = EstimatorConfig(
             cp=CpSolveConfig(
                 rank=1,
-                max_iters=get("estimator", "cp_max_iters", int, 500),
-                rel_tol=get("estimator", "cp_rel_tol", float, 1e-8),
-                restarts=get("estimator", "cp_restarts", int, 5),
+                max_iters=get("estimator", "cp_max_iters", int, CpSolveConfig.max_iters),
+                rel_tol=get("estimator", "cp_rel_tol", float, CpSolveConfig.rel_tol),
+                restarts=get("estimator", "cp_restarts", int, CpSolveConfig.restarts),
             ),
             acd=AcdConfig(
                 max_sweeps=get("estimator", "acd_max_sweeps", int, 50),

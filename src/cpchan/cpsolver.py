@@ -1,8 +1,13 @@
 """Rank-K CP decomposition of third-order complex tensors.
 
-Alternating least squares with random restarts. The first restart starts from
-truncated SVDs of the three unfoldings (HOSVD-style); the remaining restarts
-use independent complex-Gaussian factor draws. Every mode update solves the
+Alternating least squares from a few starts. Restart 0 starts from truncated
+SVDs of the three unfoldings (HOSVD-style). Restart 1 starts from the
+generalized eigendecomposition (GEVD) of two slices of the tensor compressed
+onto the same SVD bases, which is exact for a noiseless tensor; where that
+pencil does not exist (rank below 2, rank above the first or the second
+dimension, or a single mode-2 slice) it is random. Restarts 2 and up, and
+every redraw of a failed attempt, use independent complex-Gaussian factor
+draws. The default runs restarts 0 and 1. Every mode update solves the
 unfolded normal equations through a pseudoinverse of the Hermitian Gram
 Hadamard product, whose eigenvalues are floored at 1e-12 times the largest.
 
@@ -75,7 +80,7 @@ class CpSolveConfig:
     rank: int
     max_iters: int = 500
     rel_tol: float = 1e-8
-    restarts: int = 5
+    restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -100,17 +105,45 @@ def _floored_pinv(g: np.ndarray) -> np.ndarray:
     return (v / w) @ v.conj().T
 
 
-def _svd_init(unfoldings: list[np.ndarray], rank: int, rng: np.random.Generator) -> list[np.ndarray]:
+def _svd_bases(unfoldings: list[np.ndarray]) -> list[np.ndarray]:
+    """Left singular vectors of each unfolding, dominant first; shared by the
+    SVD and the GEVD inits."""
+    return [np.linalg.svd(m, full_matrices=False)[0] for m in unfoldings]
+
+
+def _svd_init(bases: list[np.ndarray], rank: int, rng: np.random.Generator) -> list[np.ndarray]:
     factors = []
-    for m in unfoldings:
-        u = np.linalg.svd(m, full_matrices=False)[0]
+    for u in bases:
         take = min(rank, u.shape[1])
         f = u[:, :take]
         if take < rank:
-            pad = rng.standard_normal((m.shape[0], rank - take)) + 1j * rng.standard_normal((m.shape[0], rank - take))
+            pad = rng.standard_normal((u.shape[0], rank - take)) + 1j * rng.standard_normal((u.shape[0], rank - take))
             f = np.concatenate([f, pad / np.sqrt(2.0)], axis=1)
         factors.append(f.astype(complex))
     return factors
+
+
+def _gevd_init(t0: np.ndarray, bases: list[np.ndarray], rank: int) -> list[np.ndarray]:
+    """Algebraic init from the generalized eigendecomposition of two slices.
+
+    The tensor is compressed onto the dominant ``rank``-dimensional mode-0 and
+    mode-1 subspaces and onto its two dominant mode-2 directions, giving the
+    slices S1 = A' diag(g1) B'^T and S2 = A' diag(g2) B'^T with square A', B'.
+    The eigenvectors of S1 S2^+ are the columns of A' (Sanchez & Kowalski
+    1990; Leurgans, Ross & Abel 1993), so a = U0 A'. Each row of a^+ T_(0) is
+    then the Kronecker product of one column of c and b, split by a rank-1
+    SVD. Exact for a noiseless tensor whose mode-0 and mode-1 factors have
+    full column rank and whose slice ratios g1/g2 are distinct.
+    """
+    n2, n3 = bases[1].shape[0], bases[2].shape[0]
+    u0, u1, u2 = bases[0][:, :rank], bases[1][:, :rank], bases[2][:, :2]
+    # core[p, k, q] = sum_ij conj(u0[i, p]) t[i, j, k] conj(u1[j, q])
+    core = (u0.conj().T @ t0).reshape(rank, n3, n2) @ u1.conj()
+    slices = u2.conj().T @ core  # slices[p, m, q] = S_m[p, q]
+    a = u0 @ np.linalg.eig(slices[:, 0, :] @ np.linalg.pinv(slices[:, 1, :]))[1]
+    rows = (np.linalg.pinv(a) @ t0).reshape(rank, n3, n2)  # rows[r, k, j] = c[k, r] b[j, r]
+    u, s, vh = np.linalg.svd(rows)
+    return [a, vh[:, 0, :].T, (u[:, :, 0] * s[:, :1]).T]
 
 
 def _random_init(dims: tuple[int, ...], rank: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -168,11 +201,13 @@ def _als_run(
 def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
     """Best-of-restarts rank-``cfg.rank`` CP decomposition of ``t``.
 
-    Returns the normalized factors of the restart with the smallest relative
-    residual together with that restart's per-iteration residual-ratio
-    history. Deterministic for a given ``cfg.seed``. A restart whose
-    least-squares subproblem degenerates is abandoned and redrawn; only if
-    every restart fails is an error raised.
+    Restart 0 starts from the SVD init, restart 1 from the GEVD init where it
+    applies, and the others at random (see the module docstring). Returns the
+    normalized factors of the restart with the smallest relative residual,
+    the earliest on a tie, together with that restart's per-iteration
+    residual-ratio history. Deterministic for a given ``cfg.seed``. A restart
+    whose init or least-squares subproblem degenerates is abandoned and
+    redrawn at random; only if every restart fails is an error raised.
     """
     t = np.asarray(t, dtype=complex)
     if t.ndim != 3:
@@ -188,17 +223,22 @@ def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
         raise ValueError("zero tensor has no CP decomposition")
 
     unfoldings = [unfold(t, mode) for mode in range(3)]
+    bases = _svd_bases(unfoldings)
+    # The GEVD pencil needs rank-column mode-0 and mode-1 bases and two mode-2 slices.
+    gevd = 2 <= cfg.rank <= min(dims[0], dims[1]) and dims[2] >= 2
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts * _ATTEMPTS_PER_RESTART)
 
     best: tuple[float, list[np.ndarray], list[float]] | None = None
     for restart in range(cfg.restarts):
         for attempt in range(_ATTEMPTS_PER_RESTART):
             rng = np.random.default_rng(seeds[restart * _ATTEMPTS_PER_RESTART + attempt])
-            if restart == 0 and attempt == 0:
-                init = _svd_init(unfoldings, cfg.rank, rng)
-            else:
-                init = _random_init(dims, cfg.rank, rng)
             try:
+                if restart == 0 and attempt == 0:
+                    init = _svd_init(bases, cfg.rank, rng)
+                elif restart == 1 and attempt == 0 and gevd:
+                    init = _gevd_init(unfoldings[0], bases, cfg.rank)
+                else:
+                    init = _random_init(dims, cfg.rank, rng)
                 factors, history = _als_run(unfoldings[0], t_norm, init, cfg)
             except np.linalg.LinAlgError:
                 continue

@@ -131,7 +131,7 @@ class AcdConfig:
     grid_oversample: int = 8
 
     def __post_init__(self):
-        if min(self.max_sweeps, self.starts, self.grid_oversample) < 1 or self.rel_tol <= 0:
+        if min(self.max_sweeps, self.starts, self.grid_oversample) < 1 or not self.rel_tol > 0:
             raise ValueError("AcdConfig fields must be positive")
 
 

@@ -193,6 +193,9 @@ class ChannelGenConfig:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("path count must be >= 1")
+        for name in ("rician_noncentrality", "rician_scale", "los_boost_db", "min_separation"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rician_noncentrality < 0 or self.rician_scale <= 0:
             raise ValueError("Rician parameters must be positive")
 

@@ -342,6 +342,7 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.channel.l == 10
     assert cfg.mc_runs == 128
     assert cfg.snr_db_list == (0.0, 10.0, 20.0, 30.0)
+    assert cfg.estimator.cp == CpSolveConfig(rank=1)
 
 
 def test_parse_config_overrides(tmp_path):

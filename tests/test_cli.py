@@ -176,6 +176,28 @@ def test_non_finite_snr_exit_code(digital_config, tmp_path, capsys, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("channel", "rician_noncentrality", "nan", "rician_noncentrality"),
+        ("channel", "rician_scale", "inf", "rician_scale"),
+        ("channel", "los_boost_db", "-inf", "los_boost_db"),
+        ("channel", "min_separation", "nan", "min_separation"),
+        ("estimator", "acd_rel_tol", "nan", "AcdConfig"),
+    ],
+)
+def test_non_finite_config_float_exit_code(digital_config, tmp_path, capsys, section, key, value, named):
+    text = re.sub(rf"^{key} = .*\n", "", digital_config.read_text(), flags=re.M)
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert main(["campaign", "-c", str(path)]) == 2
+    _single_config_error(capsys, named)
+    out = tmp_path / "scene"
+    assert main(["simulate", "-c", str(path), "-o", str(out)]) == 2
+    _single_config_error(capsys, named)
+    assert not out.exists()
+
+
 def test_config_not_utf8_exit_code(tmp_path, capsys):
     path = tmp_path / "latin.ini"
     path.write_bytes(b"[mc]\nruns = 2 ; \xe9t\xe9\n")

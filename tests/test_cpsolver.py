@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cpchan import cpsolver
+from cpchan import simchannel as sc
 from cpchan import tensors as tl
 from cpchan.cpsolver import CpFactors, CpSolveConfig, DegenerateComponentError, cp_als, normalize_factors
 
@@ -212,7 +213,7 @@ def test_als_run_matches_reference_sweep(dims, rank, noise):
     t_norm = tl.frobenius(t)
     cfg = CpSolveConfig(rank=rank)
     for init in (
-        cpsolver._svd_init(unfoldings, rank, np.random.default_rng(12)),
+        cpsolver._svd_init(cpsolver._svd_bases(unfoldings), rank, np.random.default_rng(12)),
         cpsolver._random_init(dims, rank, np.random.default_rng(13)),
     ):
         want_f, want_h = _reference_als_run(unfoldings, t_norm, init, cfg)
@@ -280,3 +281,129 @@ def test_failed_restart_is_redrawn(monkeypatch):
     assert len(pinv_calls) > 1
     assert 0 < history[-1] < 0.1
     assert_allclose(factors.compose(), t, atol=0.1 * tl.frobenius(t))
+
+
+def _attempt_rngs(cfg):
+    """The generator of every (restart, attempt) slot, as ``cp_als`` draws them."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts * cpsolver._ATTEMPTS_PER_RESTART)
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def _best_of(t, cfg, inits):
+    """``cp_als``'s answer from explicit inits: the first of the lowest final fits."""
+    unfoldings = [tl.unfold(t, mode) for mode in range(3)]
+    best = None
+    for init in inits:
+        factors, history = cpsolver._als_run(unfoldings[0], tl.frobenius(t), init, cfg)
+        if best is None or history[-1] < best[1][-1]:
+            best = (factors, history)
+    return normalize_factors(CpFactors(*best[0])), best[1]
+
+
+def _assert_identical(got, want):
+    assert got[1] == want[1]
+    for m1, m2 in zip(got[0].factors, want[0].factors):
+        assert np.array_equal(m1, m2)
+
+
+def _noisy_cp(seed, dims, rank, noise=0.05):
+    rng = np.random.default_rng(seed)
+    return tl.cp_compose([_crandn(rng, d, rank) for d in dims]) + noise * _crandn(rng, *dims)
+
+
+@pytest.mark.parametrize("dims, rank", [((31, 64, 4), 10), ((8, 9, 3), 5)])
+def test_gevd_init_exact_without_noise(dims, rank):
+    """The algebraic init alone, before any ALS sweep, recovers a noiseless tensor."""
+    rng = np.random.default_rng(17)
+    t = tl.cp_compose([_crandn(rng, d, rank) for d in dims])
+    unfoldings = [tl.unfold(t, mode) for mode in range(3)]
+    init = cpsolver._gevd_init(unfoldings[0], cpsolver._svd_bases(unfoldings), rank)
+    assert [f.shape for f in init] == [(d, rank) for d in dims]
+    assert tl.frobenius(tl.cp_compose(init) - t) <= 1e-10 * tl.frobenius(t)
+
+
+def test_single_restart_is_the_svd_run():
+    t = _noisy_cp(18, (6, 7, 8), 3)
+    cfg = CpSolveConfig(rank=3, restarts=1, seed=3)
+    unfoldings = [tl.unfold(t, mode) for mode in range(3)]
+    svd = cpsolver._svd_init(cpsolver._svd_bases(unfoldings), 3, _attempt_rngs(cfg)[0])
+    _assert_identical(cp_als(t, cfg), _best_of(t, cfg, [svd]))
+
+
+def test_second_restart_is_the_gevd_run():
+    t = _noisy_cp(19, (6, 7, 8), 3)
+    cfg = CpSolveConfig(rank=3, seed=4)
+    unfoldings = [tl.unfold(t, mode) for mode in range(3)]
+    bases = cpsolver._svd_bases(unfoldings)
+    inits = [cpsolver._svd_init(bases, 3, _attempt_rngs(cfg)[0]), cpsolver._gevd_init(unfoldings[0], bases, 3)]
+    _assert_identical(cp_als(t, cfg), _best_of(t, cfg, inits))
+
+
+@pytest.mark.parametrize(
+    "dims, rank",
+    [
+        ((6, 7, 5), 1),  # rank below 2: no pencil
+        ((4, 9, 5), 5),  # rank above n1
+        ((9, 4, 5), 5),  # rank above n2
+        ((6, 7, 1), 3),  # a single mode-2 slice
+    ],
+)
+def test_gevd_skipped_gives_random_second_restart(monkeypatch, dims, rank):
+    def no_gevd(*args):
+        raise AssertionError("GEVD init called where it does not apply")
+
+    monkeypatch.setattr(cpsolver, "_gevd_init", no_gevd)
+    t = _noisy_cp(20, dims, rank)
+    cfg = CpSolveConfig(rank=rank, seed=6)
+    rngs = _attempt_rngs(cfg)
+    bases = cpsolver._svd_bases([tl.unfold(t, mode) for mode in range(3)])
+    inits = [
+        cpsolver._svd_init(bases, rank, rngs[0]),
+        cpsolver._random_init(dims, rank, rngs[cpsolver._ATTEMPTS_PER_RESTART]),
+    ]
+    _assert_identical(cp_als(t, cfg), _best_of(t, cfg, inits))
+
+
+def test_failed_gevd_init_is_redrawn(monkeypatch):
+    calls = []
+
+    def failing_gevd(*args):
+        calls.append(1)
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(cpsolver, "_gevd_init", failing_gevd)
+    t = _noisy_cp(21, (6, 7, 8), 2)
+    cfg = CpSolveConfig(rank=2, seed=7)
+    rngs = _attempt_rngs(cfg)
+    bases = cpsolver._svd_bases([tl.unfold(t, mode) for mode in range(3)])
+    inits = [
+        cpsolver._svd_init(bases, 2, rngs[0]),
+        cpsolver._random_init(t.shape, 2, rngs[cpsolver._ATTEMPTS_PER_RESTART + 1]),
+    ]
+    _assert_identical(cp_als(t, cfg), _best_of(t, cfg, inits))
+    assert len(calls) == 1
+
+
+def test_gevd_restart_beats_a_stalled_svd_restart():
+    """Scene 1 of seed 1 of the 20 dB, L = 10 hybrid benchmark workload at
+    paper dims (a 31x64x4 observation of rank 10), drawn as the benchmark
+    draws it. The SVD restart stalls there at the iteration cap, and so did
+    all four random restarts of the former default; the default ``cp_als``
+    must fit no worse than that best of five."""
+    dims = sc.SystemDims(31, 64, 16, 16, d_t=4, d_r=4)
+    pilot = sc.make_pilot_hybrid(dims, 1)
+    chan_seed, noise_seed, solver_seed = (int(s) for s in np.random.SeedSequence([1, 1]).generate_state(3))
+    h = sc.channel_tensor(sc.draw_channel(sc.ChannelGenConfig(l=10, seed=chan_seed)), dims)
+    y = sc.receive_hybrid(h, pilot, sc.snr_to_n0(h, pilot, 20.0), noise_seed)
+    _, history = cp_als(y, CpSolveConfig(rank=10, seed=solver_seed))
+
+    former = CpSolveConfig(rank=10, restarts=5, seed=solver_seed)
+    rngs = _attempt_rngs(former)
+    bases = cpsolver._svd_bases([tl.unfold(y, mode) for mode in range(3)])
+    inits = [cpsolver._svd_init(bases, 10, rngs[0])] + [
+        cpsolver._random_init(y.shape, 10, rngs[r * cpsolver._ATTEMPTS_PER_RESTART]) for r in range(1, 5)
+    ]
+    unfoldings = [tl.unfold(y, mode) for mode in range(3)]
+    fits = [cpsolver._als_run(unfoldings[0], tl.frobenius(y), init, former)[1][-1] for init in inits]
+    assert fits[0] > history[-1] + 1e-3  # the SVD restart stalls on this scene
+    assert history[-1] <= min(fits) + 1e-6
