@@ -92,6 +92,8 @@ class CampaignConfig:
             raise ConfigError(f"snr_db_list must be nonempty and finite, got {self.snr_db_list}")
         if min(self.base_seed, self.pilot_seed) < 0:
             raise ConfigError("[mc] base_seed and [pilot] seed must be non-negative")
+        if self.workers < 1:
+            raise ConfigError(f"[mc] workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -157,6 +159,12 @@ def _observe(cfg: CampaignConfig, pilot, h: np.ndarray, n0: float, noise_seed: i
     if cfg.mode == "digital":
         return receive_digital(h, pilot, n0, noise_seed)[1]
     return receive_hybrid(h, pilot, n0, noise_seed)
+
+
+def _observation_shape(cfg: CampaignConfig) -> tuple[int, int, int]:
+    """The shape of the tensor :func:`_observe` returns."""
+    dims = cfg.system
+    return dims.n_c, dims.n_s, dims.n_r if cfg.mode == "digital" else dims.d_r
 
 
 def _estimate(cfg: CampaignConfig, pilot, obs: np.ndarray, estimator: EstimatorConfig) -> EstimationResult:
@@ -414,16 +422,21 @@ def match_paths(truth: ChannelParamSet, est: ChannelParamSet) -> MatchResult:
 
 def parse_config(path) -> CampaignConfig:
     """Load a campaign description from a flat ``key = value`` file with
-    sections [system] [channel] [pilot] [noise] [estimator] [mc] [output]."""
-    parser = configparser.ConfigParser()
+    sections [system] [channel] [pilot] [noise] [estimator] [mc] [output].
+    ``;`` starts a comment; an omitted key takes its dataclass field's default,
+    and a section or key this parser does not read is a :class:`ConfigError`."""
+    # default_section="" lets no section supply defaults: [DEFAULT] is unknown like any other.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    known: set[tuple[str, str]] = set()
 
     def get(section, key, cast, default):
+        known.add((section, key))
         try:
             if parser.has_option(section, key):
                 return cast(parser.get(section, key))
@@ -437,23 +450,22 @@ def parse_config(path) -> CampaignConfig:
         return parser.BOOLEAN_STATES[text.lower()]
 
     try:
-        d_t = get("system", "d_t", int, get("system", "d", int, 4))
-        d_r = get("system", "d_r", int, get("system", "d", int, 4))
+        d = get("system", "d", int, 4)
         system = SystemDims(
             n_c=get("system", "n_c", int, 31),
             n_s=get("system", "n_s", int, 64),
             n_r=get("system", "n_r", int, 16),
             n_t=get("system", "n_t", int, 16),
-            d_t=d_t,
-            d_r=d_r,
+            d_t=get("system", "d_t", int, d),
+            d_r=get("system", "d_r", int, d),
         )
         mode = get("system", "mode", str, "digital").strip().lower()
         channel = ChannelGenConfig(
             l=get("channel", "l", int, 10),
-            rician_noncentrality=get("channel", "rician_noncentrality", float, 1e-6),
-            rician_scale=get("channel", "rician_scale", float, 5e-6),
-            los_boost_db=get("channel", "los_boost_db", float, 10.0),
-            min_separation=get("channel", "min_separation", float, 0.0),
+            rician_noncentrality=get("channel", "rician_noncentrality", float, ChannelGenConfig.rician_noncentrality),
+            rician_scale=get("channel", "rician_scale", float, ChannelGenConfig.rician_scale),
+            los_boost_db=get("channel", "los_boost_db", float, ChannelGenConfig.los_boost_db),
+            min_separation=get("channel", "min_separation", float, ChannelGenConfig.min_separation),
         )
         snr_raw = get("noise", "snr_db", str, "0, 10, 20, 30")
         snr_list = tuple(float(x) for x in snr_raw.replace(",", " ").split())
@@ -464,29 +476,32 @@ def parse_config(path) -> CampaignConfig:
                 rel_tol=get("estimator", "cp_rel_tol", float, CpSolveConfig.rel_tol),
                 restarts=get("estimator", "cp_restarts", int, CpSolveConfig.restarts),
             ),
-            acd=AcdConfig(
-                max_sweeps=get("estimator", "acd_max_sweeps", int, 50),
-                rel_tol=get("estimator", "acd_rel_tol", float, 1e-10),
-                # multiple starts guard against near-degenerate secondary peaks
-                # of the hybrid departure/delay objective
-                starts=get("estimator", "acd_starts", int, 4),
-                grid_oversample=get("estimator", "acd_grid_oversample", int, 8),
-            ),
-            refine=get("estimator", "refine", boolean, True),
+            # multiple starts guard against near-degenerate secondary peaks
+            # of the hybrid departure/delay objective
+            acd=AcdConfig(starts=get("estimator", "acd_starts", int, 4)),
+            refine=get("estimator", "refine", boolean, EstimatorConfig.refine),
         )
-        return CampaignConfig(
+        cfg = CampaignConfig(
             system=system,
             mode=mode,
             channel=channel,
             snr_db_list=snr_list,
-            mc_runs=get("mc", "runs", int, 128),
+            mc_runs=get("mc", "runs", int, CampaignConfig.mc_runs),
             estimator=estimator,
-            output_path=get("output", "path", str, "campaign.csv"),
-            base_seed=get("mc", "base_seed", int, 1),
-            pilot_seed=get("pilot", "seed", int, 0),
-            workers=get("mc", "workers", int, 1),
+            output_path=get("output", "path", str, CampaignConfig.output_path),
+            base_seed=get("mc", "base_seed", int, CampaignConfig.base_seed),
+            pilot_seed=get("pilot", "seed", int, CampaignConfig.pilot_seed),
+            workers=get("mc", "workers", int, CampaignConfig.workers),
         )
     except (ValueError, ConfigError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    sections = {section for section, _ in known}
+    unknown = [f"section [{s}]" for s in parser.sections() if s not in sections]
+    unknown += [
+        f"key [{s}] {k}" for s in parser.sections() if s in sections for k in parser.options(s) if (s, k) not in known
+    ]
+    if unknown:
+        raise ConfigError(f"{path}: unknown {', '.join(unknown)}")
+    return cfg

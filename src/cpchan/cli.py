@@ -17,6 +17,7 @@ from .bench import (
     CampaignConfig,
     ConfigError,
     _estimate,
+    _observation_shape,
     _observe,
     _scene,
     make_pilot,
@@ -75,6 +76,14 @@ def _read(load, path):
         raise OSError(str(exc)) from exc
 
 
+def _read_tensor(path, shape: tuple[int, ...]):
+    """The CPT1 tensor at ``path``; one of another shape is an I/O error too."""
+    t = _read(load_tensor, path)
+    if t.shape != shape:
+        raise OSError(f"{path}: expected a tensor of shape {shape}, got {t.shape}")
+    return t
+
+
 def _cmd_simulate(cfg: CampaignConfig, args) -> int:
     if args.snr_db is not None:
         cfg = replace(cfg, snr_db_list=(args.snr_db,))
@@ -93,13 +102,14 @@ def _cmd_simulate(cfg: CampaignConfig, args) -> int:
 
 
 def _cmd_estimate(cfg: CampaignConfig, args) -> int:
-    obs = _read(load_tensor, args.observation)
+    obs = _read_tensor(args.observation, _observation_shape(cfg))
+    dims = cfg.system
+    h = _read_tensor(args.truth, (dims.n_c, dims.n_s, dims.n_r, dims.n_t)) if args.truth else None
     result = _estimate(cfg, make_pilot(cfg), obs, cfg.estimator)
     print(f"l_hat={result.l_hat}")
     for name, secs in result.timings.items():
         print(f"time_{name}_ms={1e3 * secs:.3f}")
-    if args.truth:
-        h = _read(load_tensor, args.truth)
+    if h is not None:
         print(f"rel_err={relative_error(h, result.h_hat):.6g}")
     if args.params_out:
         save_params(args.params_out, result.params)
@@ -124,7 +134,9 @@ def _cmd_campaign(cfg: CampaignConfig, args) -> int:
 
 
 def _cmd_oracle(cfg: CampaignConfig, args) -> int:
-    obs = _read(load_tensor, args.observation)
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be >= 2, got {args.grid}")
+    obs = _read_tensor(args.observation, _observation_shape(cfg))
     pilot = make_pilot(cfg)
     est = oracle_single_path(obs, pilot, cfg.mode, grid_points_per_dim=args.grid)
     print(_path_line(est))

@@ -51,6 +51,11 @@ _MAX_CERTIFIED = 64
 _CERT_ROUNDOFF = 1e-12
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 1e-13
+# 2-D descent (acd_2d): every step is an exact line search, so its sweep cap, relative
+# stop tolerance and start-grid oversampling are numerical constants, not tuning knobs.
+_ACD_MAX_SWEEPS = 50
+_ACD_REL_TOL = 1e-10
+_ACD_GRID_OVERSAMPLE = 8
 
 
 def wrap_angle(x):
@@ -123,16 +128,13 @@ class TrigPolyRatio:
 
 @dataclass(frozen=True)
 class AcdConfig:
-    """Knobs for the 2-D alternating coordinate descent."""
+    """How many of the coarse grid's best peaks start a 2-D descent."""
 
-    max_sweeps: int = 50
-    rel_tol: float = 1e-10
     starts: int = 1
-    grid_oversample: int = 8
 
     def __post_init__(self):
-        if min(self.max_sweeps, self.starts, self.grid_oversample) < 1 or not self.rel_tol > 0:
-            raise ValueError("AcdConfig fields must be positive")
+        if self.starts < 1:
+            raise ValueError(f"AcdConfig.starts must be >= 1, got {self.starts}")
 
 
 @dataclass
@@ -369,10 +371,10 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
     non-decreasing.
     """
     probe_b = build_slice(1, 0.0)
-    n_b = _pow2_at_least(cfg.grid_oversample * max(probe_b.num.size, 2 * probe_b.den.size))
+    n_b = _pow2_at_least(_ACD_GRID_OVERSAMPLE * max(probe_b.num.size, 2 * probe_b.den.size))
     grid_b = _offset_grid(n_b)
     rows = [build_slice(0, float(wb)) for wb in grid_b]
-    n_a = _pow2_at_least(cfg.grid_oversample * max(rows[0].num.size, 2 * rows[0].den.size))
+    n_a = _pow2_at_least(_ACD_GRID_OVERSAMPLE * max(rows[0].num.size, 2 * rows[0].den.size))
     values = np.empty((n_b, n_a))  # filled in place: stacking a list of rows raised peak RSS by 8 MB
     for i, row in enumerate(rows):
         grid_a, values[i] = _grid_values(row, n_a)
@@ -381,7 +383,7 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
     for ib, ia in _grid_peaks(values, cfg.starts):
         wa, wb, jcur = float(grid_a[ia]), float(grid_b[ib]), float(values[ib, ia])
         history = [jcur]
-        for _ in range(cfg.max_sweeps):
+        for _ in range(_ACD_MAX_SWEEPS):
             j_sweep = jcur
             for coord in (0, 1):
                 fixed = wb if coord == 0 else wa
@@ -393,7 +395,7 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
                     else:
                         wb = w_new
                 history.append(jcur)
-            if jcur - j_sweep <= cfg.rel_tol * max(abs(j_sweep), 1e-300):
+            if jcur - j_sweep <= _ACD_REL_TOL * max(abs(j_sweep), 1e-300):
                 break
         results.append(AcdResult(float(wrap_angle(wa)), float(wrap_angle(wb)), jcur, history))
     return max(results, key=lambda r: r.objective)  # the first of equal objectives

@@ -43,12 +43,14 @@ def _mdl_from_eigenvalues(lam: np.ndarray, n_obs: int) -> int:
     return int(np.argmin(scores))
 
 
-def _matrix_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Scaled squared singular values (sample-covariance eigenvalues) and the
-    snapshot count N = max(rows, cols)."""
-    s = np.linalg.svd(m, compute_uv=False)
+def _mdl_order(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """MDL order of a finite matrix and its eigenvalue profile: the squared
+    singular values divided by the snapshot count N = max(rows, cols)."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite input")
     n_obs = max(m.shape)
-    return s**2 / n_obs, n_obs
+    lam = np.linalg.svd(m, compute_uv=False) ** 2 / n_obs
+    return (0 if lam[0] == 0 else _mdl_from_eigenvalues(lam, n_obs)), lam
 
 
 def mdl_rank(m: np.ndarray) -> int:
@@ -65,12 +67,7 @@ def mdl_rank(m: np.ndarray) -> int:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite input")
-    lam, n_obs = _matrix_eigenvalues(m)
-    if lam[0] == 0:
-        return 0
-    return _mdl_from_eigenvalues(lam, n_obs)
+    return _mdl_order(m)[0]
 
 
 def estimate_model_order(t: np.ndarray) -> MdlReport:
@@ -78,13 +75,5 @@ def estimate_model_order(t: np.ndarray) -> MdlReport:
     t = np.asarray(t)
     if t.ndim != 3:
         raise ValueError("expected a third-order tensor")
-    estimates: list[int] = []
-    profiles: list[np.ndarray] = []
-    for mode in range(3):
-        m = unfold(t, mode)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite input")
-        lam, n_obs = _matrix_eigenvalues(m)
-        profiles.append(lam)
-        estimates.append(0 if lam[0] == 0 else _mdl_from_eigenvalues(lam, n_obs))
-    return MdlReport(estimates, max(estimates), profiles)
+    estimates, profiles = zip(*(_mdl_order(unfold(t, mode)) for mode in range(3)))
+    return MdlReport(list(estimates), max(estimates), list(profiles))

@@ -344,11 +344,7 @@ def transmit_response(pilot: PilotHybrid, varsigma) -> np.ndarray:
 
     Vectorized over ``varsigma``; returns shape (n_c,) or (n_c, len(varsigma)).
     """
-    x = pilot_waveform(pilot)
-    vs = np.asarray(varsigma, dtype=float)
-    steer = np.exp(1j * np.outer(np.arange(x.shape[1]), vs))
-    out = x @ steer
-    return out[:, 0] if vs.ndim == 0 else out
+    return combiner_response(pilot_waveform(pilot), varsigma)
 
 
 def combiner_response(combiner: np.ndarray, psi) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Benchmark harness tests: campaigns, CSV contract, oracle, path matching."""
 
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,3 +407,31 @@ def test_parse_config_bad_mode(tmp_path):
     path.write_text("[system]\nmode = quantum\n")
     with pytest.raises(bench.ConfigError, match="mode"):
         bench.parse_config(path)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block, minimal = tmp_path / "readme.ini", tmp_path / "min.ini"
+    block.write_text(re.search(r"```ini\n(.*?)```", readme, flags=re.S).group(1))
+    minimal.write_text("[system]\nmode = digital\n")
+    assert bench.parse_config(block) == bench.parse_config(minimal)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[estimator]\ncp_restart = 7\n", "key [estimator] cp_restart"),
+        ("[sytem]\nmode = digital\n", "section [sytem]"),
+        ("[DEFAULT]\nruns = 2\n", "section [DEFAULT]"),
+        ("[estimator]\nacd_max_sweeps = 50\n", "key [estimator] acd_max_sweeps"),
+        ("[estimator]\nacd_rel_tol = 1e-10\n", "key [estimator] acd_rel_tol"),
+        ("[estimator]\nacd_grid_oversample = 8\n", "key [estimator] acd_grid_oversample"),
+    ],
+    ids=["cp_restart", "sytem", "DEFAULT", "acd_max_sweeps", "acd_rel_tol", "acd_grid_oversample"],
+)
+def test_parse_config_unknown_key_rejected(tmp_path, text, named):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(bench.ConfigError, match=re.escape(named)):
+        bench.parse_config(path)
+

@@ -183,7 +183,7 @@ def test_non_finite_snr_exit_code(digital_config, tmp_path, capsys, snr):
         ("channel", "rician_scale", "inf", "rician_scale"),
         ("channel", "los_boost_db", "-inf", "los_boost_db"),
         ("channel", "min_separation", "nan", "min_separation"),
-        ("estimator", "acd_rel_tol", "nan", "AcdConfig"),
+        ("estimator", "acd_rel_tol", "nan", "acd_rel_tol"),
     ],
 )
 def test_non_finite_config_float_exit_code(digital_config, tmp_path, capsys, section, key, value, named):
@@ -198,18 +198,50 @@ def test_non_finite_config_float_exit_code(digital_config, tmp_path, capsys, sec
     assert not out.exists()
 
 
+def _every_subcommand(config, observation):
+    """The four subcommands on ``config``; each reads it before ``observation``."""
+    obs = ["--observation", str(observation)]
+    return [
+        ["simulate", "-c", str(config)],
+        ["estimate", "-c", str(config), *obs],
+        ["campaign", "-c", str(config)],
+        ["oracle", "-c", str(config), *obs],
+    ]
+
+
+@pytest.mark.parametrize(
+    "section, line, named",
+    [
+        ("sytem", "mode = digital", "section [sytem]"),
+        ("estimator", "cp_restart = 7", "key [estimator] cp_restart"),
+        ("estimator", "acd_start = 1", "key [estimator] acd_start"),
+        ("estimator", "acd_max_sweeps = 50", "key [estimator] acd_max_sweeps"),
+        ("estimator", "acd_rel_tol = 1e-10", "key [estimator] acd_rel_tol"),
+        ("estimator", "acd_grid_oversample = 8", "key [estimator] acd_grid_oversample"),
+    ],
+    ids=["sytem", "cp_restart", "acd_start", "acd_max_sweeps", "acd_rel_tol", "acd_grid_oversample"],
+)
+def test_unknown_config_key_exit_code(digital_config, tmp_path, capsys, section, line, named):
+    text, header = digital_config.read_text(), f"[{section}]\n"
+    path = tmp_path / "unknown.ini"
+    path.write_text(text.replace(header, header + line + "\n") if header in text else text + header + line + "\n")
+    for argv in _every_subcommand(path, tmp_path / "obs.cpt"):
+        assert main(argv) == 2
+        _single_config_error(capsys, named)
+    assert not (tmp_path / "camp.csv").exists()
+
+
 def test_config_not_utf8_exit_code(tmp_path, capsys):
     path = tmp_path / "latin.ini"
     path.write_bytes(b"[mc]\nruns = 2 ; \xe9t\xe9\n")
-    dummy = str(tmp_path / "obs.cpt")
-    for argv in (["simulate"], ["estimate", "--observation", dummy], ["campaign"], ["oracle", "--observation", dummy]):
-        assert main([*argv, "-c", str(path)]) == 2
+    for argv in _every_subcommand(path, tmp_path / "obs.cpt"):
+        assert main(argv) == 2
         _single_config_error(capsys, "latin.ini")
 
 
-def _single_io_error(capsys, name):
+def _single_io_error(capsys, *names):
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("i/o error:") and name in err[0]
+    assert len(err) == 1 and err[0].startswith("i/o error:") and all(name in err[0] for name in names)
 
 
 def test_malformed_observation_exit_code(digital_config, tmp_path, capsys):
@@ -218,6 +250,41 @@ def test_malformed_observation_exit_code(digital_config, tmp_path, capsys):
     for command in ("estimate", "oracle"):
         assert main([command, "-c", str(digital_config), "--observation", str(obs)]) == 3
         _single_io_error(capsys, "short.cpt")
+
+
+def test_misshapen_observation_exit_code(digital_config, tmp_path, capsys):
+    out = tmp_path / "scene"
+    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    for command in ("estimate", "oracle"):
+        assert main([command, "-c", str(digital_config), "--observation", str(out / "channel.cpt")]) == 3
+        _single_io_error(capsys, "channel.cpt", "(8, 8, 8)")
+
+
+def test_misshapen_truth_exit_code(digital_config, tmp_path, capsys):
+    out = tmp_path / "scene"
+    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    obs = str(out / "obs.cpt")
+    assert main(["estimate", "-c", str(digital_config), "--observation", obs, "--truth", obs]) == 3
+    _single_io_error(capsys, "obs.cpt", "(8, 8, 8, 4)")
+    assert "l_hat=" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_oracle_grid_below_two_exit_code(digital_config, tmp_path, capsys, grid):
+    out = tmp_path / "scene"
+    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    argv = ["oracle", "-c", str(digital_config), "--observation", str(out / "obs.cpt"), "--grid", grid]
+    assert main(argv) == 2
+    _single_config_error(capsys, "--grid")
+
+
+@pytest.mark.parametrize("flag, line", [(["--workers", "-3"], ""), ([], "workers = 0\n")], ids=["flag", "config"])
+def test_workers_below_one_exit_code(digital_config, tmp_path, capsys, flag, line):
+    path = tmp_path / "workers.ini"
+    path.write_text(digital_config.read_text().replace("[mc]\n", "[mc]\n" + line))
+    assert main(["campaign", "-c", str(path), *flag]) == 2
+    _single_config_error(capsys, "workers")
+    assert not (tmp_path / "camp.csv").exists()
 
 
 def test_malformed_params_exit_code(digital_config, tmp_path, capsys):

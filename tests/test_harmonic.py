@@ -224,10 +224,12 @@ def _separable_objective(peak_a, peak_b, n_a=12, n_b=12):
 
 
 def test_acd_separable_recovery_in_one_sweep():
-    res = acd_2d(_separable_objective(0.5, -1.1), AcdConfig(max_sweeps=1))
+    res = acd_2d(_separable_objective(0.5, -1.1), AcdConfig())
     assert res.omega_a == pytest.approx(0.5, abs=1e-8)
     assert res.omega_b == pytest.approx(-1.1, abs=1e-8)
     assert res.objective == pytest.approx(144.0**2, rel=1e-9)
+    # history: the start, then one entry per coordinate step; the first sweep ends at index 2
+    assert res.history[2] == res.objective
 
 
 def test_acd_constant_objective_returns_initialization():
