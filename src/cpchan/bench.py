@@ -425,8 +425,9 @@ def parse_config(path) -> CampaignConfig:
     sections [system] [channel] [pilot] [noise] [estimator] [mc] [output].
     ``;`` starts a comment; an omitted key takes its dataclass field's default,
     and a section or key this parser does not read is a :class:`ConfigError`."""
-    # default_section="" lets no section supply defaults: [DEFAULT] is unknown like any other.
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
+    # default_section="" lets no section supply defaults: [DEFAULT] is unknown like any other;
+    # interpolation=None reads a '%' (as in an output path) literally.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="", interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

@@ -15,9 +15,11 @@ The exact 1-D step has two sources of candidate maximizers. When the
 denominator is constant, the objective is a trigonometric polynomial of
 degree D: an FFT grid, Bernstein's inequality (|J''| <= D^2 max J,
 |J'''| <= D^3 max J) and a bracketed Newton polish certify its global
-maximum. Ratios with a non-constant denominator, and constant-denominator
-objectives whose certificate fails, root the derivative through a companion
-matrix instead.
+maximum. The estimators pass the denominator of a DFT-built pilot as a
+constant, so on such pilots every slice takes this path. Ratios with a
+genuinely non-constant denominator, and constant-denominator objectives
+whose certificate fails, root the derivative through a companion matrix
+instead.
 """
 
 from __future__ import annotations
@@ -300,7 +302,9 @@ def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarr
         lo = np.where(rising, w, lo)
         hi = np.where(rising, hi, w)
         nxt = w - d1 / d2
-        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        # closed bracket: a converged step rounds to nxt == w, which is lo or
+        # hi by now, and must not send the iterate back to bisection
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
         done = np.all(np.abs(nxt - w) <= _NEWTON_TOL)
         w = nxt
         if done:
@@ -315,12 +319,13 @@ def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     denominator (``den.size == 1``), J is a trigonometric polynomial and the
     4096-point FFT grid, with Bernstein's inequality and a bracketed Newton
     polish, certifies a few stationary points (see
-    :func:`_certified_candidates`). Ratio objectives, and constant-denominator
-    ones whose certificate fails, clear the derivative of J to a single
-    polynomial whose roots are found as companion-matrix eigenvalues; roots
-    within 1e-6 of the unit circle are projected onto it. The candidates are
-    evaluated together with the best grid point. Ties break toward the
-    smallest |w|.
+    :func:`_certified_candidates`); every slice of the estimators on a
+    DFT-built pilot is of this kind. Ratio objectives with a non-constant
+    denominator, and constant-denominator ones whose certificate fails, clear
+    the derivative of J to a single polynomial whose roots are found as
+    companion-matrix eigenvalues; roots within 1e-6 of the unit circle are
+    projected onto it. The candidates are evaluated together with the best
+    grid point. Ties break toward the smallest |w|.
     """
     if not np.any(r.num):
         warnings.warn("objective numerator is identically zero", RuntimeWarning, stacklevel=2)

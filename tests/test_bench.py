@@ -368,6 +368,12 @@ def test_parse_config_overrides(tmp_path):
     assert cfg.base_seed == 99
 
 
+def test_parse_config_percent_read_literally(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[output]\npath = runs/50%.csv\n")
+    assert bench.parse_config(path).output_path == "runs/50%.csv"
+
+
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(bench.ConfigError, match="not found"):
         bench.parse_config(tmp_path / "nope.ini")

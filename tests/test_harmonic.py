@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpchan import harmonic
 from cpchan.harmonic import (
     AcdConfig,
     TrigPolyRatio,
@@ -181,6 +182,44 @@ def test_certified_step_on_pure_tone():
     omega, value = max_unit_circle(TrigPolyRatio(np.exp(-0.7j * np.arange(64)), np.array([4.0])))
     assert omega == pytest.approx(0.7, abs=1e-12)
     assert value == pytest.approx(64**2 / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega0", [0.7, -2.1, 0.123, 3.1])
+def test_certified_newton_polish_stops_when_converged(omega0, monkeypatch):
+    """A converged Newton step must not send the iterate back to bisection:
+    a degree-15 tone polishes in a handful of slope evaluations."""
+    r = TrigPolyRatio(np.exp(-1j * omega0 * np.arange(16)), np.array([2.0]))
+    grid = _grid_values(r, 4096)
+    calls = []
+    trig_values = harmonic._trig_values
+    monkeypatch.setattr(harmonic, "_trig_values", lambda *a: calls.append(1) or trig_values(*a))
+    cands = _certified_candidates(r, *grid)
+    monkeypatch.undo()
+    assert cands is not None
+    assert len(calls) <= 6
+    ref = _stationary_candidates(r)
+    best = cands[int(np.argmax(eval_ratio(r, cands)))]
+    ref_best = ref[int(np.argmax(eval_ratio(r, ref)))]
+    assert abs(np.angle(np.exp(1j * (best - ref_best)))) <= 1e-12
+    assert abs(np.angle(np.exp(1j * (best - omega0)))) <= 1e-12
+
+
+def test_constant_denominator_trim_keeps_the_maximum():
+    """Off-lag denominator terms of 1e-14 d_0 are negligible: the trimmed,
+    certified ratio has the maximizer and maximum of the full one, which is
+    solved by rooting."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        num = _crandn(rng, 16)
+        d0 = rng.uniform(0.5, 2.0)
+        den = np.concatenate([[d0], 1e-14 * d0 * np.exp(2j * np.pi * rng.uniform(size=15))])
+        full = TrigPolyRatio(num, den)
+        trimmed = TrigPolyRatio(num, den[:1])
+        assert _certifies(trimmed)
+        omega, value = max_unit_circle(trimmed)
+        ref_omega, ref_value, _ = _rooting_max(full)
+        assert abs(np.angle(np.exp(1j * (omega - ref_omega)))) <= 1e-9
+        assert value == pytest.approx(ref_value, rel=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,36 @@ def test_digital_path_stage_scale_ambiguity_invariant():
         assert abs(p.b - q.b) <= 1e-9 * max(1.0, abs(p.b))
 
 
+# --- ratio denominators ----------------------------------------------------------
+
+_PAPER_DIMS = sc.SystemDims(31, 64, 16, 16, d_t=4, d_r=4)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda: sc.make_pilot_digital(_PAPER_DIMS, seed=1).precoder,
+        lambda: sc.pilot_waveform(sc.make_pilot_hybrid(_PAPER_DIMS, seed=1)),
+        lambda: sc.make_pilot_hybrid(_PAPER_DIMS, seed=1).combiner,
+    ],
+    ids=["digital-precoder", "hybrid-waveform", "hybrid-combiner"],
+)
+def test_dft_pilot_denominator_is_constant(rows):
+    """The rows of DFT-built pilots are orthogonal under every shift, so the
+    ratio denominator is trimmed to d_0 and every slice takes the certified step."""
+    x = rows()
+    half = pl._row_autocorr_half(x)
+    assert half.shape == (1,)
+    assert half[0] == pytest.approx(np.sum(np.abs(x) ** 2), rel=1e-12)
+
+
+def test_non_orthogonal_pilot_denominator_keeps_every_lag():
+    x = _crandn(np.random.default_rng(3), 8, 6)
+    half = pl._row_autocorr_half(x)
+    assert half.shape == (6,)
+    assert_allclose(half[2], sum(np.vdot(row[:-2], row[2:]) for row in x))
+
+
 # --- estimate_psi_hybrid --------------------------------------------------------
 
 
