@@ -11,15 +11,16 @@ sum_k c_k e^{jkw} at arbitrary points by one matrix product
 (:func:`_fft_values`). The real denominator g enters both as the one-sided
 coefficients e_0 = d_0, e_m = 2 d_m of g(w) = Re sum_m e_m e^{jmw}.
 
-The exact 1-D step has two sources of candidate maximizers. When the
-denominator is constant, the objective is a trigonometric polynomial of
-degree D: an FFT grid, Bernstein's inequality (|J''| <= D^2 max J,
-|J'''| <= D^3 max J) and a bracketed Newton polish certify its global
-maximum. The estimators pass the denominator of a DFT-built pilot as a
-constant, so on such pilots every slice takes this path. Ratios with a
-genuinely non-constant denominator, and constant-denominator objectives
-whose certificate fails, root the derivative through a companion matrix
-instead.
+The exact 1-D step has one source of candidate maximizers, a certificate for
+a real trigonometric polynomial p of degree D: an FFT grid sized from D,
+Bernstein's inequality (|p''| <= D^2 max|p|, |p'''| <= D^3 max|p|), a finer
+resampling of the candidates' neighbourhoods while a concavity test fails, and
+a bracketed Newton polish. With a constant denominator p is J itself; the
+estimators pass the denominator of a DFT-built pilot as a constant, so on such
+pilots every slice is one certified step. A genuinely non-constant
+denominator g is handled by Dinkelbach's method, a few certified steps on
+p = |f|^2 - lam g. Where no certificate holds, the polished candidates and
+the best grid point still give the step's answer.
 """
 
 from __future__ import annotations
@@ -42,17 +43,24 @@ __all__ = [
     "acd_2d",
 ]
 
-# Grid used to validate denominator positivity and as a rooting fallback.
-# Half-step offset keeps the samples away from rational zeros of DFT-built
-# denominators (which sit exactly at multiples of 2*pi/N).
+# Smallest grid used to validate denominator positivity and for the 1-D step;
+# a degree-D polynomial gets the power of two >= max(_FALLBACK_GRID, 8 D), so
+# that D s <= pi/4 at spacing s (_grid_size). Half-step offset keeps the
+# samples away from rational zeros of DFT-built denominators (which sit
+# exactly at multiples of 2*pi/N).
 _FALLBACK_GRID = 4096
-# Certified 1-D step on constant denominators (_certified_candidates): a slice
-# with more grid candidates than _MAX_CERTIFIED goes to rooting instead, and
-# _CERT_ROUNDOFF widens the candidate threshold by the FFT's rounding.
-_MAX_CERTIFIED = 64
+# Certified 1-D step (_certified_candidates): a failed concavity test resamples
+# the candidates' neighbourhoods 4x finer up to _ZOOM_DEPTH times; more than
+# _MAX_CANDIDATES candidates end the certificate, and _CERT_ROUNDOFF widens the
+# candidate threshold by the FFT's rounding.
+_ZOOM_DEPTH = 6
+_MAX_CANDIDATES = 256
 _CERT_ROUNDOFF = 1e-12
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 1e-13
+# Dinkelbach iteration of a ratio with a non-constant denominator (max_unit_circle).
+_DINKELBACH_MAX_STEPS = 20
+_DINKELBACH_TOL = 1e-12
 # 2-D descent (acd_2d): every step is an exact line search, so its sweep cap, relative
 # stop tolerance and start-grid oversampling are numerical constants, not tuning knobs.
 _ACD_MAX_SWEEPS = 50
@@ -63,13 +71,6 @@ _ACD_GRID_OVERSAMPLE = 8
 def wrap_angle(x):
     """Wrap angles to (-pi, pi]."""
     return np.angle(np.exp(1j * np.asarray(x, dtype=float)))
-
-
-def _full_laurent(half: np.ndarray) -> tuple[np.ndarray, int]:
-    """Expand Hermitian half coefficients d_0..d_M into the full Laurent
-    coefficient vector for degrees -M..M, returned with its offset M."""
-    d = np.asarray(half, dtype=complex)
-    return np.concatenate([np.conj(d[1:])[::-1], d]), d.size - 1
 
 
 def _one_sided(half: np.ndarray) -> np.ndarray:
@@ -93,6 +94,16 @@ def _fft_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(coeffs * np.exp(1j * np.pi * np.arange(coeffs.size) / n), n) * n
 
 
+def _pow2_at_least(n: int) -> int:
+    return 1 << max(5, int(np.ceil(np.log2(max(2, n)))))
+
+
+def _grid_size(length: int) -> int:
+    """Points of the half-offset grid for coefficient vectors up to ``length``
+    long: the power of two >= max(_FALLBACK_GRID, 8 D), D = length - 1."""
+    return _pow2_at_least(max(_FALLBACK_GRID, 8 * (length - 1)))
+
+
 @dataclass(frozen=True)
 class TrigPolyRatio:
     """Ratio objective J(w) = |f(e^{jw})|^2 / g(w) on the unit circle.
@@ -101,8 +112,9 @@ class TrigPolyRatio:
     ``den`` holds the Hermitian half coefficients d_0..d_M of the real-valued
     trigonometric polynomial g(w) = d_0 + 2*Re(sum_{m>=1} d_m e^{jmw});
     an empty ``den`` is stored as [1], g == 1. g must be strictly positive,
-    which is checked at construction on the 4096-point offset grid. Those
-    grid values (a single value when g is constant) are kept for
+    which is checked at construction on the offset grid that
+    :func:`_grid_size` sizes from ``den`` (at least 4096 points). Those grid
+    values (a single value when g is constant) are kept for
     :func:`max_unit_circle`.
     """
 
@@ -121,7 +133,7 @@ class TrigPolyRatio:
         object.__setattr__(self, "den", den)
         if abs(den[0].imag) > 1e-9 * max(1.0, abs(den[0].real)):
             raise ValueError("leading denominator coefficient must be real")
-        g = den[:1].real if den.size == 1 else np.real(_fft_values(_one_sided(den), _FALLBACK_GRID))
+        g = den[:1].real if den.size == 1 else np.real(_fft_values(_one_sided(den), _grid_size(den.size)))
         object.__setattr__(self, "_den_on_grid", g)
         gmin = float(np.min(g))
         if gmin <= 0:
@@ -194,159 +206,144 @@ def _offset_grid(n: int) -> np.ndarray:
     return w
 
 
+def _den_values(r: TrigPolyRatio, n: int) -> np.ndarray:
+    """g on the n-point half-offset grid; its single value when g is constant."""
+    if r.den.size == 1 or n == r._den_on_grid.size:
+        return r._den_on_grid
+    return np.real(_fft_values(_one_sided(r.den), n))
+
+
 def _grid_values(r: TrigPolyRatio, n: int) -> tuple[np.ndarray, np.ndarray]:
     """J on the n-point half-offset uniform grid, via zero-padded FFTs."""
     num = np.abs(_fft_values(r.num, n)) ** 2
-    g = r._den_on_grid if r.den.size == 1 or n == _FALLBACK_GRID else np.real(_fft_values(_one_sided(r.den), n))
+    g = _den_values(r, n)
     vals = np.zeros_like(num)
     np.divide(num, g, out=vals, where=g > 0)
     return _offset_grid(n), vals
 
 
-def _stationary_candidates(r: TrigPolyRatio) -> np.ndarray:
-    """Angles of the unit-circle roots of d/dw J(w), via companion rooting."""
-    c = np.trim_zeros(r.num, "b")
-    if c.size == 0:
-        return np.empty(0)
-    # |f|^2 as a Laurent polynomial: autocorrelation of the coefficients.
-    full_n = np.convolve(c, np.conj(c)[::-1])
-    off_n = c.size - 1
-    full_d, off_d = _full_laurent(r.den)
-    ndot = full_n * (1j * (np.arange(full_n.size) - off_n))
-    ddot = full_d * (1j * (np.arange(full_d.size) - off_d))
-    h = np.convolve(ndot, full_d) - np.convolve(full_n, ddot)
-    scale = np.max(np.abs(h))
-    if scale == 0:
-        return np.empty(0)
-    # negligible extreme coefficients (numerically-zero autocorrelation lags)
-    # produce huge spurious roots and wreck the companion conditioning
-    keep = np.abs(h) > 1e-12 * scale
-    lo = int(np.argmax(keep))
-    hi = h.size - int(np.argmax(keep[::-1]))
-    h = h[lo:hi] / scale
-    roots = np.roots(h[::-1])
-    if roots.size == 0:
-        return np.empty(0)
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    if on_circle.size == 0:
-        return np.empty(0)
-    omegas = np.angle(on_circle)
-    return _polish_stationary(h, omegas)
+def _certified_candidates(r: TrigPolyRatio, lam: float, grid_w: np.ndarray, grid_p: np.ndarray):
+    """(candidates, certified): stationary points of p = (|f|^2 - lam g) / d_0
+    that provably include its global maximizer, found from p on the uniform
+    grid ``grid_w``/``grid_p``, and whether that proof held; without it the
+    best grid point is appended. A constant g has lam = 0 and takes no part,
+    so that p = J and no denominator arithmetic runs.
 
-
-def _polish_stationary(h: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """A couple of Newton steps on the (real) derivative numerator, in the
-    angle domain, to tighten companion roots before evaluation.
-
-    ``h`` is the Hermitian Laurent vector of degrees -M..M, so its values are
-    those of the one-sided form of its half h_0..h_M."""
-    e = _one_sided(h[(h.size - 1) // 2 :])
-    e = np.stack([e, 1j * np.arange(e.size) * e], axis=1)
-    out = omegas.copy()
-    for _ in range(2):
-        fv, fd = np.real(_trig_values(e, out)).T
-        step = np.where(np.abs(fd) > 0, fv / np.where(np.abs(fd) > 0, fd, 1.0), 0.0)
-        cand = out - step
-        better = np.abs(np.real(_trig_values(e[:, 0], cand))) < np.abs(fv)
-        out = np.where(better, cand, out)
-    return wrap_angle(out)
-
-
-def _certified_candidates(r: TrigPolyRatio, grid_w: np.ndarray, grid_v: np.ndarray) -> np.ndarray | None:
-    """Stationary points of a constant-denominator J that provably include
-    its global maximizer, found from the uniform grid ``grid_w``/``grid_v``;
-    None when the certificate fails.
-
-    J = |f|^2 / d_0 is a nonnegative trigonometric polynomial of degree D, so
-    Bernstein's inequality bounds |J''| by D^2 max J and |J'''| by
-    D^3 max J. With grid spacing s the grid point nearest the maximizer is
-    then within eps = (D s)^2 / 8 of max J, relatively, and every grid point
-    within eps of the grid maximum G is a candidate. Every candidate w_i
-    must certify J strictly concave on the bracket [w_i - s, w_i + s]:
-    J''(w_i) + s D^3 G / (1 - eps) < 0. A maximizer within s/2 of w_i would
-    then make J' fall from + to - across the bracket, so a bracket without
-    that sign change is dropped; the others are polished by bracketed Newton
-    on J'.
+    p is a real trigonometric polynomial of degree D, so Bernstein's
+    inequality bounds |p''| by D^2 P and |p'''| by D^3 P, P = max |p|. With
+    sample spacing s the sample nearest the maximizer is within eps P of max
+    p, eps = (D s)^2 / 8, so every sample within eps P^ of the best sample G
+    is a candidate, where P^ = max_i |p_i| / (1 - eps) bounds P from the grid.
+    Every candidate w_i must certify p strictly concave on the bracket
+    [w_i - s, w_i + s]: p''(w_i) + s D^3 P^ < 0. While some candidate fails
+    that test, the candidates' neighbourhoods [w_i - s/2, w_i + s/2] are
+    resampled at s/4 and the test repeats, at most _ZOOM_DEPTH times. A
+    maximizer within s/2 of w_i makes p' fall from + to - across a concave
+    bracket, so a bracket without that sign change is dropped; the others are
+    polished by bracketed Newton on p'. Without a certificate (the zoom depth
+    is spent, or more than _MAX_CANDIDATES candidates, of which the best are
+    kept) the falling brackets are polished all the same.
     """
-    c = np.trim_zeros(r.num, "b") / np.sqrt(r.den[0].real)
-    deg = c.size - 1
-    step = 2.0 * np.pi / grid_v.size
-    if deg < 1 or deg * step >= 1.0:  # the concavity test needs s D^3 < D^2
-        return None
-    eps = (deg * step) ** 2 / 8.0 + _CERT_ROUNDOFF
-    gmax = float(np.max(grid_v))
-    idx = np.flatnonzero(grid_v >= (1.0 - eps) * gmax)
-    if idx.size > _MAX_CERTIFIED:
-        return None
+    d0 = r.den[0].real
+    c = np.trim_zeros(r.num) / np.sqrt(d0)  # |z^m f| = |f| on the circle
+    ratio = r.den.size > 1
+    deg = max(c.size, r.den.size if ratio else 0) - 1
+    ib = int(np.argmax(grid_p))
+    best_w, best_p = grid_w[ib], grid_p[ib]
+    if deg < 1:
+        return np.array([best_w]), True
     k = np.arange(deg + 1)
-    c1 = 1j * k * c
-    derivs = np.stack([c, c1, 1j * k * c1], axis=1)
+    coeffs = np.zeros((deg + 1, 6 if ratio else 3), dtype=complex)
+    coeffs[: c.size, 0] = c
+    if ratio:
+        coeffs[: r.den.size, 3] = _one_sided(r.den) / d0
+    for j in [1, 2, 4, 5] if ratio else [1, 2]:
+        coeffs[:, j] = 1j * k * coeffs[:, j - 1]
 
-    def slope_curvature(w):
-        f, f1, f2 = _trig_values(derivs, w).T
-        return 2.0 * np.real(np.conj(f) * f1), 2.0 * (np.abs(f1) ** 2 + np.real(np.conj(f) * f2))
+    def value_slope_curvature(w):
+        v = _trig_values(coeffs, w).T
+        f, f1, f2 = v[:3]
+        p = (np.abs(f) ** 2, 2.0 * np.real(np.conj(f) * f1), 2.0 * (np.abs(f1) ** 2 + np.real(np.conj(f) * f2)))
+        return [pk - lam * np.real(gk) for pk, gk in zip(p, v[3:])] if ratio else p
 
-    w = grid_w[idx]
-    lo, hi = w - step, w + step
-    n = w.size
-    d1, d2 = slope_curvature(np.concatenate([lo, hi, w]))
-    if np.any(d2[2 * n :] + step * deg**3 * gmax / (1.0 - eps) >= 0):
-        return None
+    step = 2.0 * np.pi / grid_p.size
+    eps = (deg * step) ** 2 / 8.0 + _CERT_ROUNDOFF
+    bound = max(best_p, -np.min(grid_p)) / (1.0 - eps)
+    w, v = grid_w, grid_p
+    for zoom in range(_ZOOM_DEPTH + 1):
+        idx = np.flatnonzero(v >= best_p - eps * bound)
+        capped = idx.size > _MAX_CANDIDATES
+        if capped:
+            idx = idx[np.argsort(v[idx])[-_MAX_CANDIDATES:]]
+        x = w[idx]
+        lo, hi = x - step, x + step
+        n = x.size
+        _, d1, d2 = value_slope_curvature(np.concatenate([lo, hi, x]))
+        certified = not capped and np.all(d2[2 * n :] + step * deg**3 * bound < 0)
+        if certified or capped or zoom == _ZOOM_DEPTH:
+            break
+        step /= 4.0
+        eps = (deg * step) ** 2 / 8.0 + _CERT_ROUNDOFF
+        w = (x[:, None] + step * np.array([-1.5, -0.5, 0.5, 1.5])).ravel()
+        v = value_slope_curvature(w)[0]
+        best_p = max(best_p, np.max(v))
     falling = (d1[:n] > 0) & (d1[n : 2 * n] < 0)
-    if not np.any(falling):
-        return None
-    w, lo, hi = w[falling], lo[falling], hi[falling]
-    for _ in range(_NEWTON_MAX_STEPS):
-        d1, d2 = slope_curvature(w)
+    x, lo, hi = x[falling], lo[falling], hi[falling]
+    for _ in range(_NEWTON_MAX_STEPS if x.size else 0):
+        _, d1, d2 = value_slope_curvature(x)
         rising = d1 > 0
-        lo = np.where(rising, w, lo)
-        hi = np.where(rising, hi, w)
-        nxt = w - d1 / d2
-        # closed bracket: a converged step rounds to nxt == w, which is lo or
+        lo = np.where(rising, x, lo)
+        hi = np.where(rising, hi, x)
+        # a non-concave point (possible only without a certificate) bisects
+        nxt = x - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0)
+        # closed bracket: a converged step rounds to nxt == x, which is lo or
         # hi by now, and must not send the iterate back to bisection
         nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        done = np.all(np.abs(nxt - w) <= _NEWTON_TOL)
-        w = nxt
+        done = np.all(np.abs(nxt - x) <= _NEWTON_TOL)
+        x = nxt
         if done:
             break
-    return wrap_angle(w)
+    certified = bool(certified and x.size)
+    return (wrap_angle(x), True) if certified else (np.append(wrap_angle(x), best_w), False)
 
 
 def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     """Global maximizer of J(w) over (-pi, pi].
 
-    Candidates for the maximizer come from one of two sources. For a constant
-    denominator (``den.size == 1``), J is a trigonometric polynomial and the
-    4096-point FFT grid, with Bernstein's inequality and a bracketed Newton
-    polish, certifies a few stationary points (see
-    :func:`_certified_candidates`); every slice of the estimators on a
-    DFT-built pilot is of this kind. Ratio objectives with a non-constant
-    denominator, and constant-denominator ones whose certificate fails, clear
-    the derivative of J to a single polynomial whose roots are found as
-    companion-matrix eigenvalues; roots within 1e-6 of the unit circle are
-    projected onto it. The candidates are evaluated together with the best
-    grid point. Ties break toward the smallest |w|.
+    The maximum comes from one source, the certified grid step of
+    :func:`_certified_candidates`, on the FFT grid of at least 4096 points
+    that :func:`_grid_size` sizes from the coefficient lengths. For a
+    constant denominator (``den.size == 1``, every slice of the estimators on
+    a DFT-built pilot) J is itself a trigonometric polynomial and one step
+    suffices. Otherwise Dinkelbach's method (Management Science 1967) starts
+    from the grid maximum lam of J and repeats lam <- J(w*) with w* the
+    maximizer of |f|^2 - lam g, whose maximum is 0 exactly at lam = max J,
+    until lam grows by less than _DINKELBACH_TOL relative. The maximizer is
+    the best candidate of the best step; ties break toward the smallest |w|.
     """
     if not np.any(r.num):
         warnings.warn("objective numerator is identically zero", RuntimeWarning, stacklevel=2)
         return 0.0, 0.0
-    grid_w, grid_v = _grid_values(r, _FALLBACK_GRID)
-    cands = _certified_candidates(r, grid_w, grid_v) if r.den.size == 1 else None
-    if cands is None:
-        cands = _stationary_candidates(r)
-    best_grid = grid_w[int(np.argmax(grid_v))]
-    omegas = np.concatenate([cands, [best_grid]])
-    vals = eval_ratio(r, omegas)
+    n = _grid_size(max(r.num.size, r.den.size))
+    grid_w, grid_j = _grid_values(r, n)
+    grid_den = _den_values(r, n) / r.den[0].real
+    lam = 0.0 if r.den.size == 1 else float(np.max(grid_j))
+    omegas = vals = None
+    for _ in range(_DINKELBACH_MAX_STEPS):
+        cands = _certified_candidates(r, lam, grid_w, grid_den * (grid_j - lam))[0]
+        cand_vals = eval_ratio(r, cands)
+        top = float(np.max(cand_vals))
+        if vals is None or top >= np.max(vals):
+            omegas, vals = cands, cand_vals
+        if r.den.size == 1 or top <= lam * (1.0 + _DINKELBACH_TOL):
+            break
+        lam = top
     vmax = float(np.max(vals))
     if vmax <= 0.0:
         return 0.0, 0.0
     ties = omegas[vals >= vmax * (1.0 - 1e-12)]
     best = float(ties[int(np.argmin(np.abs(ties)))])
     return best, float(eval_ratio(r, np.array([best]))[0])
-
-
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(5, int(np.ceil(np.log2(max(2, n)))))
 
 
 def _grid_peaks(values: np.ndarray, count: int) -> list[tuple[int, int]]:

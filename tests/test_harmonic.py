@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpchan import harmonic
@@ -10,9 +12,11 @@ from cpchan.harmonic import (
     TrigPolyRatio,
     _certified_candidates,
     _grid_peaks,
+    _grid_size,
     _grid_values,
     _offset_grid,
-    _stationary_candidates,
+    _one_sided,
+    _trig_values,
     acd_2d,
     esprit_tone,
     eval_ratio,
@@ -148,18 +152,62 @@ def test_line_search_degree7_vs_dense_grid():
     assert value >= _grid_max(r, 1_000_000) - 1e-9 * max(1.0, value)
 
 
+def _full_laurent(half):
+    """Full Laurent coefficients of degrees -M..M of the Hermitian half
+    coefficients d_0..d_M, returned with the offset M."""
+    d = np.asarray(half, dtype=complex)
+    return np.concatenate([np.conj(d[1:])[::-1], d]), d.size - 1
+
+
+def _rooting_candidates(r):
+    """Angles of the unit-circle roots of d/dw J(w): the derivative of
+    |f|^2 / g is cleared to one Laurent polynomial, rooted through its
+    companion matrix, and each root within 1e-6 of the circle gets two Newton
+    steps in the angle domain. Reference for the certified step only."""
+    c = np.trim_zeros(r.num, "b")
+    full_n = np.convolve(c, np.conj(c)[::-1])  # |f|^2: autocorrelation of the coefficients
+    off_n = c.size - 1
+    full_d, off_d = _full_laurent(r.den)
+    ndot = full_n * (1j * (np.arange(full_n.size) - off_n))
+    ddot = full_d * (1j * (np.arange(full_d.size) - off_d))
+    h = np.convolve(ndot, full_d) - np.convolve(full_n, ddot)
+    scale = np.max(np.abs(h))
+    if scale == 0:
+        return np.empty(0)
+    # negligible extreme coefficients (numerically-zero autocorrelation lags)
+    # produce huge spurious roots and wreck the companion conditioning
+    keep = np.abs(h) > 1e-12 * scale
+    h = h[int(np.argmax(keep)) : h.size - int(np.argmax(keep[::-1]))] / scale
+    roots = np.roots(h[::-1])
+    omegas = np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])
+    # h is Hermitian of degrees -M..M, so its values are those of the one-sided form of h_0..h_M
+    e = _one_sided(h[(h.size - 1) // 2 :])
+    e = np.stack([e, 1j * np.arange(e.size) * e], axis=1)
+    for _ in range(2):
+        fv, fd = np.real(_trig_values(e, omegas)).T
+        step = np.where(np.abs(fd) > 0, fv / np.where(np.abs(fd) > 0, fd, 1.0), 0.0)
+        better = np.abs(np.real(_trig_values(e[:, 0], omegas - step))) < np.abs(fv)
+        omegas = np.where(better, omegas - step, omegas)
+    return harmonic.wrap_angle(omegas)
+
+
 def _rooting_max(r):
     """Reference 1-D step by companion rooting alone: (argmax, max, tied argmaxes)."""
     grid_w, grid_v = _grid_values(r, 4096)
-    omegas = np.concatenate([_stationary_candidates(r), [grid_w[int(np.argmax(grid_v))]]])
+    omegas = np.concatenate([_rooting_candidates(r), [grid_w[int(np.argmax(grid_v))]]])
     vals = eval_ratio(r, omegas)
     ties = omegas[vals >= np.max(vals) * (1.0 - 1e-12)]
     best = float(ties[int(np.argmin(np.abs(ties)))])
     return best, float(eval_ratio(r, np.array([best]))[0]), ties
 
 
+def _certify(r):
+    """The certified step on a constant-denominator ratio: (candidates, certified)."""
+    return _certified_candidates(r, 0.0, *_grid_values(r, _grid_size(r.num.size)))
+
+
 def _certifies(r):
-    return _certified_candidates(r, *_grid_values(r, 4096)) is not None
+    return _certify(r)[1]
 
 
 @pytest.mark.parametrize(("length", "min_certified"), [(2, 20), (8, 20), (31, 20), (64, 15), (128, 1)])
@@ -189,15 +237,14 @@ def test_certified_newton_polish_stops_when_converged(omega0, monkeypatch):
     """A converged Newton step must not send the iterate back to bisection:
     a degree-15 tone polishes in a handful of slope evaluations."""
     r = TrigPolyRatio(np.exp(-1j * omega0 * np.arange(16)), np.array([2.0]))
-    grid = _grid_values(r, 4096)
     calls = []
     trig_values = harmonic._trig_values
     monkeypatch.setattr(harmonic, "_trig_values", lambda *a: calls.append(1) or trig_values(*a))
-    cands = _certified_candidates(r, *grid)
+    cands, certified = _certify(r)
     monkeypatch.undo()
-    assert cands is not None
+    assert certified
     assert len(calls) <= 6
-    ref = _stationary_candidates(r)
+    ref = _rooting_candidates(r)
     best = cands[int(np.argmax(eval_ratio(r, cands)))]
     ref_best = ref[int(np.argmax(eval_ratio(r, ref)))]
     assert abs(np.angle(np.exp(1j * (best - ref_best)))) <= 1e-12
@@ -206,8 +253,8 @@ def test_certified_newton_polish_stops_when_converged(omega0, monkeypatch):
 
 def test_constant_denominator_trim_keeps_the_maximum():
     """Off-lag denominator terms of 1e-14 d_0 are negligible: the trimmed,
-    certified ratio has the maximizer and maximum of the full one, which is
-    solved by rooting."""
+    certified ratio has the maximizer and maximum of the full one, as the
+    rooting reference and the Dinkelbach step solve it."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         num = _crandn(rng, 16)
@@ -220,6 +267,9 @@ def test_constant_denominator_trim_keeps_the_maximum():
         ref_omega, ref_value, _ = _rooting_max(full)
         assert abs(np.angle(np.exp(1j * (omega - ref_omega)))) <= 1e-9
         assert value == pytest.approx(ref_value, rel=1e-10)
+        full_omega, full_value = max_unit_circle(full)
+        assert abs(np.angle(np.exp(1j * (full_omega - ref_omega)))) <= 1e-9
+        assert full_value == pytest.approx(ref_value, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -227,16 +277,64 @@ def test_constant_denominator_trim_keeps_the_maximum():
     [
         np.array([0.0, 0.0, 1.5j]),  # monomial: flat J, every grid point is a candidate
         np.concatenate([np.zeros(652), [1.0, 1.0]]),  # degree 653: D * 2pi/4096 >= 1
-        _crandn(np.random.default_rng(7), 200),  # degree 199: no bracket certifies concave
+        _crandn(np.random.default_rng(7), 200),  # degree 199: no bracket certifies concave on the grid
     ],
     ids=["monomial", "degree-653", "random-degree-199"],
 )
-def test_certificate_failure_falls_back_to_rooting(num):
+def test_certificate_failure_falls_back_to_rooting(num, monkeypatch):
+    """Slices one 4096-point certificate cannot settle reach the rooting
+    reference's maximum. They are certified (leading zeros trimmed, a grid
+    sized from the degree, the zoom), and with the zoom switched off the
+    polished fallback reaches it too."""
     r = TrigPolyRatio(num)
-    assert not _certifies(r)
-    omega, value = max_unit_circle(r)
-    ref_omega, ref_value, _ = _rooting_max(r)
-    assert (omega, value) == (ref_omega, ref_value)
+    _, ref_value, _ = _rooting_max(r)
+    assert _certifies(r)
+    assert max_unit_circle(r)[1] == pytest.approx(ref_value, rel=1e-12)
+    monkeypatch.setattr(harmonic, "_ZOOM_DEPTH", 0)
+    assert max_unit_circle(r)[1] == pytest.approx(ref_value, rel=1e-12)
+
+
+def _fft_max(r, points):
+    """Maximum of J on the plain ``points``-point FFT grid, an evaluation
+    independent of the step's half-offset grid."""
+    num = np.abs(np.fft.fft(r.num, points)) ** 2
+    return float(np.max(num / np.real(np.fft.fft(_one_sided(r.den), points))))
+
+
+@pytest.mark.parametrize("length", [128, 256, 600])
+def test_long_tone_slices_are_certified(length):
+    """Tone-like slices whose peak fails the concavity test on the first grid
+    are certified after resampling, with no fallback."""
+    rng = np.random.default_rng(length)
+    r = TrigPolyRatio(np.exp(-0.9j * np.arange(length)) + 0.1 * _crandn(rng, length), np.array([2.0]))
+    assert _certifies(r)
+    assert max_unit_circle(r)[1] >= _fft_max(r, 2**20) * (1.0 - 1e-12)
+
+
+def test_inputs_longer_than_the_minimum_grid():
+    """A 5000-term numerator and a 4100-term denominator get grids sized from
+    their lengths instead of failing on the 4096-point minimum."""
+    rng = np.random.default_rng(5)
+    r = TrigPolyRatio(_crandn(rng, 5000))
+    assert _certifies(r)
+    assert max_unit_circle(r)[1] >= _fft_max(r, 2**20) * (1.0 - 1e-12)
+    r = TrigPolyRatio(_crandn(rng, 16), np.concatenate([[1.0], 1e-4 * _crandn(rng, 4099)]))
+    assert max_unit_circle(r)[1] >= _fft_max(r, 2**18) * (1.0 - 1e-12)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    num_len=st.integers(2, 40),
+    den_deg=st.integers(0, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_search_property_against_grid_and_rooting(num_len, den_deg, seed):
+    """Random ratios, positive as in acceptance criterion 4: the step reaches
+    the 2^17-point grid maximum and the rooting reference's maximum."""
+    r = _random_ratio(np.random.default_rng(seed), num_len - 1, den_deg)
+    _, value = max_unit_circle(r)
+    assert value >= _fft_max(r, 2**17) * (1.0 - 1e-12)
+    assert value == pytest.approx(_rooting_max(r)[1], rel=1e-10)
 
 
 def test_denominator_positivity_enforced():

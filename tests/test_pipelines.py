@@ -1,5 +1,7 @@
 """Estimation pipeline tests for both receiver architectures."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -183,6 +185,35 @@ def test_estimate_digital_three_paths_noiseless():
     _, a = sc.receive_digital(h, pilot, 0.0)
     res = pl.estimate_digital(a, pilot, _tight_config())
     assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 1e-4
+
+
+def test_estimate_digital_frame_longer_than_the_minimum_grid():
+    """A 4100-symbol frame makes 4100-term Doppler slices, longer than the
+    4096-point minimum grid of the 1-D step: the grid is sized from them."""
+    dims = sc.SystemDims(8, 4100, 4, 4)
+    pilot = sc.make_pilot_digital(dims, seed=0)
+    chan = sc.draw_channel(sc.ChannelGenConfig(l=1, seed=21))
+    h = sc.channel_tensor(chan, dims)
+    _, a = sc.receive_digital(h, pilot, 0.0)
+    res = pl.estimate_digital(a, pilot, _tight_config())
+    assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 1e-10
+
+
+def test_estimate_digital_non_dft_precoder_noiseless():
+    """A random unit-modulus precoder has rows that are not orthogonal under
+    shifts, so every departure slice keeps a non-constant denominator and the
+    1-D step runs Dinkelbach's iteration."""
+    dims = sc.SystemDims(16, 16, 16, 8)
+    grid = sc.make_pilot_digital(dims, seed=0).grid
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pilot = sc.PilotDigital(np.exp(2j * np.pi * rng.uniform(size=(16, 8))), grid)
+        assert pl._row_autocorr_half(pilot.precoder).size == 8
+        chan = sc.draw_channel(sc.ChannelGenConfig(l=1 + seed % 2, min_separation=0.5, seed=500 + seed))
+        h = sc.channel_tensor(chan, dims)
+        _, a = sc.receive_digital(h, pilot, 0.0)
+        res = pl.estimate_digital(a, pilot, _tight_config())
+        assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 1e-6, f"seed {seed}"
 
 
 def test_estimate_digital_zero_observation():
@@ -391,6 +422,22 @@ def test_estimate_hybrid_single_path():
     best = res.params.paths[0]
     assert_allclose(_angles(best), _angles(chan.paths[0]), atol=1e-5)
     assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 1e-6
+
+
+def test_estimate_hybrid_256_subcarriers_within_budget():
+    """256-subcarrier delay slices (degree 255) are certified on the grid;
+    no slice falls into a cubic-cost solve, so the estimate stays fast."""
+    dims = sc.SystemDims(256, 16, 16, 16, d_t=4, d_r=4)
+    pilot = sc.make_pilot_hybrid(dims, seed=0)
+    chan = sc.draw_channel(sc.ChannelGenConfig(l=2, min_separation=0.5, seed=7))
+    h = sc.channel_tensor(chan, dims)
+    y = sc.receive_hybrid(h, pilot, sc.snr_to_n0(h, pilot, 20.0), 8)
+    t0 = time.perf_counter()
+    res = pl.estimate_hybrid(y, pilot, pl.EstimatorConfig(acd=AcdConfig(starts=4)))
+    elapsed = time.perf_counter() - t0
+    assert res.l_hat == 2
+    assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 0.01
+    assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
 
 def test_estimate_hybrid_zero_observation():
