@@ -12,6 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (
     _NOISE_SEED_OFFSET,
     CampaignConfig,
@@ -77,10 +79,13 @@ def _read(load, path):
 
 
 def _read_tensor(path, shape: tuple[int, ...]):
-    """The CPT1 tensor at ``path``; one of another shape is an I/O error too."""
+    """The CPT1 tensor at ``path``; one of another shape or with a NaN or
+    infinite entry is an I/O error too."""
     t = _read(load_tensor, path)
     if t.shape != shape:
         raise OSError(f"{path}: expected a tensor of shape {shape}, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise OSError(f"{path}: {np.count_nonzero(~np.isfinite(t))} non-finite entries")
     return t
 
 

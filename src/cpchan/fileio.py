@@ -45,8 +45,8 @@ def load_tensor(path) -> np.ndarray:
     count = int(np.prod(dims, dtype=np.int64))
     if len(raw) - header_end != 16 * count:
         raise ValueError(f"{path}: payload holds {(len(raw) - header_end) / 16:g} entries, expected {count}")
-    flat = np.frombuffer(raw, dtype="<f8", offset=header_end)
-    vec = flat[0::2] + 1j * flat[1::2]
+    # (re, im) f64 pairs are complex128 entries; read as such, an infinite part stays exact
+    vec = np.frombuffer(raw, dtype="<c16", offset=header_end).astype(complex)
     return vec.reshape(dims, order="F")
 
 

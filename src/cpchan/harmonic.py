@@ -8,11 +8,18 @@ that exact 1-D step.
 J is evaluated one way for numerator and denominator alike: a sum
 sum_k c_k e^{jkw} at arbitrary points by one matrix product
 (:func:`_trig_values`), or on a half-offset uniform grid by one FFT
-(:func:`_fft_values`). The real denominator g enters both as the one-sided
-coefficients e_0 = d_0, e_m = 2 d_m of g(w) = Re sum_m e_m e^{jmw}.
+(:func:`_fft_values`; one 2-D FFT for a 2-D coefficient array). The real
+denominator g enters both as the one-sided coefficients e_0 = d_0,
+e_m = 2 d_m of g(w) = Re sum_m e_m e^{jmw}.
+
+The estimators' 2-D objective is a :class:`TrigPolyRatio2D`,
+|sum_{n,v} C[n, v] e^{jn w_a} e^{jv w_b}|^2 / g(w_b): it builds its own exact
+1-D slices, and :func:`acd_2d` takes its whole coarse grid from one 2-D FFT
+of C, divided by g on the w_b grid.
 
 The exact 1-D step has one source of candidate maximizers, a certificate for
-a real trigonometric polynomial p of degree D: an FFT grid sized from D,
+a real trigonometric polynomial p of degree D: an FFT grid of the power of two
+>= 64 D points (no coarser than the grid the denominator was checked on),
 Bernstein's inequality (|p''| <= D^2 max|p|, |p'''| <= D^3 max|p|), a finer
 resampling of the candidates' neighbourhoods while a concavity test fails, and
 a bracketed Newton polish. With a constant denominator p is J itself; the
@@ -25,6 +32,7 @@ the best grid point still give the step's answer.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "TrigPolyRatio",
+    "TrigPolyRatio2D",
     "AcdConfig",
     "AcdResult",
     "vandermonde",
@@ -43,12 +52,17 @@ __all__ = [
     "acd_2d",
 ]
 
-# Smallest grid used to validate denominator positivity and for the 1-D step;
-# a degree-D polynomial gets the power of two >= max(_FALLBACK_GRID, 8 D), so
+# Smallest grid on which TrigPolyRatio checks that its denominator is positive;
+# a degree-D denominator gets the power of two >= max(_FALLBACK_GRID, 8 D), so
 # that D s <= pi/4 at spacing s (_grid_size). Half-step offset keeps the
 # samples away from rational zeros of DFT-built denominators (which sit
 # exactly at multiples of 2*pi/N).
 _FALLBACK_GRID = 4096
+# The 1-D step's grid has the power of two >= _STEP_POINTS_PER_DEGREE * D
+# points, so D s <= 2 pi / 64 and the Bernstein slack (D s)^2 / 8 stays near
+# 1e-3 of max |p|; it is never coarser than the denominator's check grid,
+# whose values a ratio slice then reuses.
+_STEP_POINTS_PER_DEGREE = 64
 # Certified 1-D step (_certified_candidates): a failed concavity test resamples
 # the candidates' neighbourhoods 4x finer up to _ZOOM_DEPTH times; more than
 # _MAX_CANDIDATES candidates end the certificate, and _CERT_ROUNDOFF widens the
@@ -86,12 +100,23 @@ def _trig_values(coeffs: np.ndarray, omega) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(omega, np.arange(coeffs.shape[0]))) @ coeffs
 
 
-def _fft_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+def _fft_values(coeffs: np.ndarray, *n: int) -> np.ndarray:
     """sum_k coeffs[k] e^{jkw} on the n-point half-offset grid
-    w_i = 2 pi (i + 1/2) / n, by one zero-padded FFT."""
-    if n < coeffs.size:
+    w_i = 2 pi (i + 1/2) / n, by one zero-padded FFT. A 2-D ``coeffs`` with
+    two sizes gives sum_{k,l} coeffs[k, l] e^{jkw} e^{jlu} on the product of
+    the two grids (rows w, columns u), by one 2-D FFT."""
+    if any(m < k for m, k in zip(n, coeffs.shape)):
         raise ValueError("grid too small for the coefficient length")
-    return np.fft.ifft(coeffs * np.exp(1j * np.pi * np.arange(coeffs.size) / n), n) * n
+    for axis, m in enumerate(n):
+        k = coeffs.shape[axis]
+        coeffs = coeffs * np.exp(1j * np.pi * np.arange(k) / m).reshape((k,) + (1,) * (len(n) - 1 - axis))
+    return np.fft.ifftn(coeffs, n, axes=tuple(range(len(n)))) * math.prod(n)
+
+
+def _den_at(den: np.ndarray, omega):
+    """g(w) at scalar or array ``omega`` from the half coefficients ``den``;
+    the constant d_0 itself when g is constant."""
+    return den[0].real if den.size == 1 else np.real(_trig_values(_one_sided(den), omega))
 
 
 def _pow2_at_least(n: int) -> int:
@@ -99,8 +124,9 @@ def _pow2_at_least(n: int) -> int:
 
 
 def _grid_size(length: int) -> int:
-    """Points of the half-offset grid for coefficient vectors up to ``length``
-    long: the power of two >= max(_FALLBACK_GRID, 8 D), D = length - 1."""
+    """Points of the grid on which a denominator of ``length`` half
+    coefficients is checked positive: the power of two >= max(_FALLBACK_GRID,
+    8 D), D = length - 1."""
     return _pow2_at_least(max(_FALLBACK_GRID, 8 * (length - 1)))
 
 
@@ -115,7 +141,7 @@ class TrigPolyRatio:
     which is checked at construction on the offset grid that
     :func:`_grid_size` sizes from ``den`` (at least 4096 points). Those grid
     values (a single value when g is constant) are kept for
-    :func:`max_unit_circle`.
+    :func:`max_unit_circle`, whose step grid is never coarser.
     """
 
     num: np.ndarray
@@ -138,6 +164,34 @@ class TrigPolyRatio:
         gmin = float(np.min(g))
         if gmin <= 0:
             raise ValueError(f"denominator is not strictly positive (min {gmin:g} on check grid)")
+
+
+@dataclass(frozen=True)
+class TrigPolyRatio2D:
+    """Objective J(w_a, w_b) = |sum_{n,v} C[n, v] e^{jn w_a} e^{jv w_b}|^2 / g(w_b).
+
+    ``coeffs`` holds C; ``den`` the Hermitian half coefficients of g in w_b,
+    as in :class:`TrigPolyRatio`. Called as ``build_slice(coord, fixed)``, it
+    returns the exact 1-D restriction that :func:`acd_2d` steps on: coordinate
+    0 frees w_a (numerator C e^{jv w_b}, constant denominator g(w_b)), 1 frees
+    w_b (numerator C^T e^{jn w_a}, denominator g).
+    """
+
+    coeffs: np.ndarray
+    den: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if coeffs.ndim != 2:
+            raise ValueError("coeffs must be a 2-D coefficient array")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", np.atleast_1d(np.asarray(self.den, dtype=complex)))
+
+    def __call__(self, coord: int, fixed: float) -> TrigPolyRatio:
+        if coord == 0:
+            g = _den_at(self.den, fixed)
+            return TrigPolyRatio(self.coeffs @ np.exp(1j * fixed * np.arange(self.coeffs.shape[1])), np.array([g]))
+        return TrigPolyRatio(self.coeffs.T @ np.exp(1j * fixed * np.arange(self.coeffs.shape[0])), self.den)
 
 
 @dataclass(frozen=True)
@@ -190,13 +244,16 @@ def esprit_tone(v: np.ndarray) -> float:
     return float(np.angle(rho))
 
 
+def _ratio(num: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """num / g where g > 0, else 0."""
+    vals = np.zeros_like(num)
+    np.divide(num, g, out=vals, where=g > 0)
+    return vals
+
+
 def eval_ratio(r: TrigPolyRatio, omega) -> np.ndarray:
     """Evaluate J(w) = |f|^2 / g at scalar or vector ``omega``."""
-    num = np.abs(_trig_values(r.num, omega)) ** 2
-    g = np.real(_trig_values(_one_sided(r.den), omega))
-    out = np.zeros_like(num)
-    np.divide(num, g, out=out, where=g > 0)
-    return out
+    return _ratio(np.abs(_trig_values(r.num, omega)) ** 2, _den_at(r.den, omega))
 
 
 @lru_cache(maxsize=32)
@@ -215,11 +272,7 @@ def _den_values(r: TrigPolyRatio, n: int) -> np.ndarray:
 
 def _grid_values(r: TrigPolyRatio, n: int) -> tuple[np.ndarray, np.ndarray]:
     """J on the n-point half-offset uniform grid, via zero-padded FFTs."""
-    num = np.abs(_fft_values(r.num, n)) ** 2
-    g = _den_values(r, n)
-    vals = np.zeros_like(num)
-    np.divide(num, g, out=vals, where=g > 0)
-    return _offset_grid(n), vals
+    return _offset_grid(n), _ratio(np.abs(_fft_values(r.num, n)) ** 2, _den_values(r, n))
 
 
 def _certified_candidates(r: TrigPolyRatio, lam: float, grid_w: np.ndarray, grid_p: np.ndarray):
@@ -245,7 +298,8 @@ def _certified_candidates(r: TrigPolyRatio, lam: float, grid_w: np.ndarray, grid
     kept) the falling brackets are polished all the same.
     """
     d0 = r.den[0].real
-    c = np.trim_zeros(r.num) / np.sqrt(d0)  # |z^m f| = |f| on the circle
+    nz = np.flatnonzero(r.num)  # the caller has ruled out a zero numerator
+    c = r.num[nz[0] : nz[-1] + 1] / np.sqrt(d0)  # |z^m f| = |f| on the circle
     ratio = r.den.size > 1
     deg = max(c.size, r.den.size if ratio else 0) - 1
     ib = int(np.argmax(grid_p))
@@ -307,24 +361,34 @@ def _certified_candidates(r: TrigPolyRatio, lam: float, grid_w: np.ndarray, grid
     return (wrap_angle(x), True) if certified else (np.append(wrap_angle(x), best_w), False)
 
 
+def _step_points(r: TrigPolyRatio) -> int:
+    """Points of the 1-D step's grid: the power of two >= 64 D for the degree
+    D of the slice, or the denominator's check grid when that is larger."""
+    degree = max(r.num.size, r.den.size) - 1
+    return max(_pow2_at_least(_STEP_POINTS_PER_DEGREE * degree), r._den_on_grid.size)
+
+
 def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     """Global maximizer of J(w) over (-pi, pi].
 
     The maximum comes from one source, the certified grid step of
-    :func:`_certified_candidates`, on the FFT grid of at least 4096 points
-    that :func:`_grid_size` sizes from the coefficient lengths. For a
+    :func:`_certified_candidates`, on an FFT grid sized from the degree D of
+    the slice (:func:`_step_points`): the power of two >= 64 D points, or the
+    grid the denominator was checked on (at least 4096 points) when that is
+    larger, so that a ratio reuses its denominator's grid values. For a
     constant denominator (``den.size == 1``, every slice of the estimators on
     a DFT-built pilot) J is itself a trigonometric polynomial and one step
     suffices. Otherwise Dinkelbach's method (Management Science 1967) starts
     from the grid maximum lam of J and repeats lam <- J(w*) with w* the
     maximizer of |f|^2 - lam g, whose maximum is 0 exactly at lam = max J,
     until lam grows by less than _DINKELBACH_TOL relative. The maximizer is
-    the best candidate of the best step; ties break toward the smallest |w|.
+    the best candidate of the best step, returned with J as evaluated there;
+    ties break toward the smallest |w|.
     """
     if not np.any(r.num):
         warnings.warn("objective numerator is identically zero", RuntimeWarning, stacklevel=2)
         return 0.0, 0.0
-    n = _grid_size(max(r.num.size, r.den.size))
+    n = _step_points(r)
     grid_w, grid_j = _grid_values(r, n)
     grid_den = _den_values(r, n) / r.den[0].real
     lam = 0.0 if r.den.size == 1 else float(np.max(grid_j))
@@ -341,9 +405,9 @@ def max_unit_circle(r: TrigPolyRatio) -> tuple[float, float]:
     vmax = float(np.max(vals))
     if vmax <= 0.0:
         return 0.0, 0.0
-    ties = omegas[vals >= vmax * (1.0 - 1e-12)]
-    best = float(ties[int(np.argmin(np.abs(ties)))])
-    return best, float(eval_ratio(r, np.array([best]))[0])
+    tied = np.flatnonzero(vals >= vmax * (1.0 - 1e-12))
+    best = tied[int(np.argmin(np.abs(omegas[tied])))]
+    return float(omegas[best]), float(vals[best])
 
 
 def _grid_peaks(values: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -359,6 +423,35 @@ def _grid_peaks(values: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [tuple(i) for i in idx[order]]
 
 
+def _coarse_grid(build_slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid_a, grid_b, values) of the start grid of :func:`acd_2d`, with
+    values[i, k] = J(grid_a[k], grid_b[i]).
+
+    Each axis has the power of two >= 8 times the coefficient count of the
+    slices along it (twice the denominator's, if more). A
+    :class:`TrigPolyRatio2D` gets the whole grid from one 2-D FFT of its
+    coefficients and its denominator on the w_b grid; any other callable gets
+    it row by row, one FFT per slice.
+    """
+
+    def points(r: TrigPolyRatio) -> int:
+        return _pow2_at_least(_ACD_GRID_OVERSAMPLE * max(r.num.size, 2 * r.den.size))
+
+    probe_b = build_slice(1, 0.0)
+    n_b = points(probe_b)
+    grid_b = _offset_grid(n_b)
+    row_0 = build_slice(0, float(grid_b[0]))
+    n_a = points(row_0)
+    if isinstance(build_slice, TrigPolyRatio2D):
+        num = np.abs(_fft_values(build_slice.coeffs.T, n_b, n_a)) ** 2
+        values = _ratio(num, _den_values(probe_b, n_b)[:, None])
+    else:
+        values = np.empty((n_b, n_a))  # filled in place: stacking a list of rows raised peak RSS by 8 MB
+        for i, wb in enumerate(grid_b):
+            values[i] = _grid_values(build_slice(0, float(wb)) if i else row_0, n_a)[1]
+    return _offset_grid(n_a), grid_b, values
+
+
 def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
     """Maximize a 2-D unit-circle ratio objective by alternating exact 1-D steps.
 
@@ -368,18 +461,12 @@ def acd_2d(build_slice, cfg: AcdConfig) -> AcdResult:
 
     One descent starts from each of the ``cfg.starts`` best peaks of an
     FFT-oversampled 2-D grid (from every peak when the grid has fewer), at the
-    grid value; the best descent wins. A coordinate update is only accepted
-    when it strictly improves the objective, so the recorded history is
-    non-decreasing.
+    grid value; the best descent wins (:func:`_coarse_grid`: for a
+    :class:`TrigPolyRatio2D`, one 2-D FFT; otherwise one FFT per row). A
+    coordinate update is only accepted when it strictly improves the
+    objective, so the recorded history is non-decreasing.
     """
-    probe_b = build_slice(1, 0.0)
-    n_b = _pow2_at_least(_ACD_GRID_OVERSAMPLE * max(probe_b.num.size, 2 * probe_b.den.size))
-    grid_b = _offset_grid(n_b)
-    rows = [build_slice(0, float(wb)) for wb in grid_b]
-    n_a = _pow2_at_least(_ACD_GRID_OVERSAMPLE * max(rows[0].num.size, 2 * rows[0].den.size))
-    values = np.empty((n_b, n_a))  # filled in place: stacking a list of rows raised peak RSS by 8 MB
-    for i, row in enumerate(rows):
-        grid_a, values[i] = _grid_values(row, n_a)
+    grid_a, grid_b, values = _coarse_grid(build_slice)
 
     results = []
     for ib, ia in _grid_peaks(values, cfg.starts):

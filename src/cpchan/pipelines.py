@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cpsolver import CpFactors, CpSolveConfig, cp_als
-from .harmonic import AcdConfig, TrigPolyRatio, acd_2d, esprit_tone, max_unit_circle, vandermonde
+from .harmonic import AcdConfig, TrigPolyRatio, TrigPolyRatio2D, acd_2d, esprit_tone, max_unit_circle, vandermonde
 from .modelorder import estimate_model_order
 from .simchannel import (
     ChannelParamSet,
@@ -137,27 +137,16 @@ def _row_autocorr_half(rows: np.ndarray) -> np.ndarray:
     return half
 
 
-def _slices(a_hat: np.ndarray, x: np.ndarray):
-    """Exact 1-D restrictions of the 2-D ratio objective J(w, s).
+def _slices(a_hat: np.ndarray, x: np.ndarray) -> TrigPolyRatio2D:
+    """The 2-D ratio objective J(w, s), C = conj(a_hat)[:, None] X and g the
+    row autocorrelation of X.
 
     Coordinate 0 is the frequency w along the rows of X, coordinate 1 the
-    departure frequency s. The restricted objective equals |f(e^{jw})|^2 / g(w)
+    departure frequency s. Each 1-D restriction equals |f(e^{jw})|^2 / g(w)
     with the numerator built so its modulus matches the matched-filter inner
     product.
     """
-    n_idx = np.arange(x.shape[0])
-    v_idx = np.arange(x.shape[1])
-    den_vs = _row_autocorr_half(x)
-
-    def build(coord: int, fixed: float) -> TrigPolyRatio:
-        if coord == 0:
-            xs = x @ np.exp(1j * fixed * v_idx)
-            num = np.conj(a_hat) * xs
-            return TrigPolyRatio(num, np.array([np.vdot(xs, xs)]))
-        w = np.conj(a_hat) * np.exp(1j * fixed * n_idx)
-        return TrigPolyRatio(x.T @ w, den_vs)
-
-    return build
+    return TrigPolyRatio2D(np.conj(a_hat)[:, None] * x, _row_autocorr_half(x))
 
 
 def _steering(x: np.ndarray, omega: float, varsigma: float) -> np.ndarray:

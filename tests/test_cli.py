@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpchan.cli import main
-from cpchan.fileio import load_params, load_tensor
+from cpchan.fileio import load_params, load_tensor, save_tensor
 
 
 @pytest.fixture
@@ -267,6 +267,31 @@ def test_misshapen_truth_exit_code(digital_config, tmp_path, capsys):
     assert main(["estimate", "-c", str(digital_config), "--observation", obs, "--truth", obs]) == 3
     _single_io_error(capsys, "obs.cpt", "(8, 8, 8, 4)")
     assert "l_hat=" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tensor_exit_code(digital_config, tmp_path, capsys, bad):
+    """A NaN or infinite entry in the observation or the truth is an I/O error
+    naming the file, before any estimate runs."""
+    out = tmp_path / "scene"
+    main(["simulate", "-c", str(digital_config), "-o", str(out)])
+    obs, truth = load_tensor(out / "obs.cpt"), load_tensor(out / "channel.cpt")
+    obs[1, 2, 3] = bad
+    truth[0, 0, 0, 1] = complex(0.0, bad)
+    save_tensor(tmp_path / "bad_obs.cpt", obs)
+    save_tensor(tmp_path / "bad_truth.cpt", truth)
+    capsys.readouterr()
+    good_obs, bad_obs, bad_truth = str(out / "obs.cpt"), str(tmp_path / "bad_obs.cpt"), str(tmp_path / "bad_truth.cpt")
+    for argv, name in [
+        (["estimate", "-c", str(digital_config), "--observation", bad_obs], "bad_obs.cpt"),
+        (["estimate", "-c", str(digital_config), "--observation", good_obs, "--truth", bad_truth], "bad_truth.cpt"),
+        (["oracle", "-c", str(digital_config), "--observation", bad_obs], "bad_obs.cpt"),
+    ]:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:") and name in err[0] and "non-finite" in err[0]
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -18,6 +18,18 @@ def test_tensor_roundtrip(tmp_path):
     assert_allclose(load_tensor(path), t)
 
 
+def test_tensor_roundtrip_keeps_non_finite_parts(tmp_path):
+    """Each stored (re, im) pair comes back as written, an infinite or NaN
+    part included, and the loaded tensor is writable."""
+    t = np.array([complex(0.0, np.inf), complex(-np.inf, 1.0), complex(np.nan, 2.0), 3 - 4j])
+    path = tmp_path / "t.cpt"
+    save_tensor(path, t)
+    back = load_tensor(path)
+    assert np.array_equal(back.real, t.real, equal_nan=True)
+    assert np.array_equal(back.imag, t.imag, equal_nan=True)
+    back[0] = 0.0
+
+
 def test_tensor_header_layout(tmp_path):
     t = np.array([[1 + 2j, 3 + 4j]])  # 1 x 2
     path = tmp_path / "t.cpt"

@@ -12,10 +12,10 @@ from cpchan.harmonic import (
     TrigPolyRatio,
     _certified_candidates,
     _grid_peaks,
-    _grid_size,
     _grid_values,
     _offset_grid,
     _one_sided,
+    _step_points,
     _trig_values,
     acd_2d,
     esprit_tone,
@@ -43,8 +43,16 @@ def _random_ratio(rng, num_deg, den_deg):
 
 
 def _grid_max(r, points):
-    omegas = -np.pi + 2 * np.pi * np.arange(points) / points
-    return float(np.max(eval_ratio(r, omegas)))
+    """Maximum of J on the grid w_k = -pi + 2 pi k / points, by zero-padded
+    FFTs of the numerator and the one-sided denominator, since
+    e^{jn w_k} = (-1)^n e^{j 2 pi n k / points}."""
+
+    def values(coeffs):
+        return np.fft.ifft(coeffs * (-1.0) ** np.arange(coeffs.size), points) * points
+
+    num = np.abs(values(r.num)) ** 2
+    g = np.real(values(_one_sided(r.den)))
+    return float(np.max(np.divide(num, g, out=np.zeros_like(num), where=g > 0)))
 
 
 # --- vandermonde ------------------------------------------------------------
@@ -202,8 +210,9 @@ def _rooting_max(r):
 
 
 def _certify(r):
-    """The certified step on a constant-denominator ratio: (candidates, certified)."""
-    return _certified_candidates(r, 0.0, *_grid_values(r, _grid_size(r.num.size)))
+    """The certified step on a constant-denominator ratio, on the step's own
+    grid: (candidates, certified)."""
+    return _certified_candidates(r, 0.0, *_grid_values(r, _step_points(r)))
 
 
 def _certifies(r):
@@ -309,6 +318,37 @@ def test_long_tone_slices_are_certified(length):
     r = TrigPolyRatio(np.exp(-0.9j * np.arange(length)) + 0.1 * _crandn(rng, length), np.array([2.0]))
     assert _certifies(r)
     assert max_unit_circle(r)[1] >= _fft_max(r, 2**20) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 15, 30, 63, 127, 599])
+def test_tone_like_slices_are_certified_on_the_degree_sized_grid(degree):
+    """The step grid has the power of two >= 64 D points (1024 for the
+    degree-15 paper slices, 2048 for degree 30, 4096 for degree 63), and
+    tone-like slices are certified on it and reach the dense-grid maximum."""
+    rng = np.random.default_rng(degree)
+    r = TrigPolyRatio(np.exp(-0.9j * np.arange(degree + 1)) + 0.1 * _crandn(rng, degree + 1), np.array([2.0]))
+    assert _step_points(r) == 1 << int(np.ceil(np.log2(64 * degree)))
+    assert _certifies(r)
+    assert max_unit_circle(r)[1] >= _fft_max(r, 2**17) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("num_len", [2, 16, 31, 64])
+@pytest.mark.parametrize("den_deg", [3, 15])
+def test_ratio_step_reuses_the_denominator_check_grid(num_len, den_deg, monkeypatch):
+    """A ratio's step grid is its denominator's check grid, so the step runs
+    no denominator FFT after construction, only numerator FFTs."""
+    r = _random_ratio(np.random.default_rng(num_len + 100 * den_deg), num_len - 1, den_deg)
+    den_fft, num_fft = [], []
+    fft_values = harmonic._fft_values
+
+    def counted(coeffs, *n):
+        (den_fft if np.array_equal(coeffs, _one_sided(r.den)) else num_fft).append(n)
+        return fft_values(coeffs, *n)
+
+    monkeypatch.setattr(harmonic, "_fft_values", counted)
+    max_unit_circle(r)
+    assert _step_points(r) == r._den_on_grid.size == 4096
+    assert den_fft == [] and num_fft == [(4096,)]
 
 
 def test_inputs_longer_than_the_minimum_grid():

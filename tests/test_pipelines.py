@@ -10,7 +10,7 @@ from cpchan import pipelines as pl
 from cpchan import simchannel as sc
 from cpchan import tensors as tl
 from cpchan.cpsolver import CpFactors, CpSolveConfig
-from cpchan.harmonic import AcdConfig, eval_ratio
+from cpchan.harmonic import AcdConfig, TrigPolyRatio2D, _coarse_grid, acd_2d, eval_ratio
 from cpchan.simchannel import wrap_angle
 
 
@@ -295,6 +295,58 @@ def test_non_orthogonal_pilot_denominator_keeps_every_lag():
     half = pl._row_autocorr_half(x)
     assert half.shape == (6,)
     assert_allclose(half[2], sum(np.vdot(row[:-2], row[2:]) for row in x))
+
+
+def _pilot_objective(x):
+    return pl._slices(_crandn(np.random.default_rng(x.size), x.shape[0]), x)
+
+
+_PILOT_OBJECTIVES = {
+    "digital-precoder": lambda: _pilot_objective(sc.make_pilot_digital(_PAPER_DIMS, seed=1).precoder),
+    "hybrid-waveform": lambda: _pilot_objective(sc.pilot_waveform(sc.make_pilot_hybrid(_PAPER_DIMS, seed=1))),
+    "unit-modulus-16x8": lambda: _pilot_objective(np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=(16, 8)))),
+}
+# one row (J depends on w_b alone) and one column (on w_a alone)
+_SHAPE_OBJECTIVES = {
+    "1x9": lambda: TrigPolyRatio2D(
+        _crandn(np.random.default_rng(5), 1, 9), pl._row_autocorr_half(_crandn(np.random.default_rng(6), 3, 9))
+    ),
+    "9x1": lambda: TrigPolyRatio2D(_crandn(np.random.default_rng(7), 9, 1), np.array([2.0])),
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "constant_den"),
+    [
+        ("digital-precoder", True),
+        ("hybrid-waveform", True),
+        ("unit-modulus-16x8", False),
+        ("1x9", False),
+        ("9x1", True),
+    ],
+)
+def test_coarse_grid_by_one_fft_matches_row_by_row(name, constant_den):
+    """The 2-D objective's coarse grid from one 2-D FFT equals the grid built
+    row by row from its own slices, on the same points."""
+    obj = {**_PILOT_OBJECTIVES, **_SHAPE_OBJECTIVES}[name]()
+    assert (obj.den.size == 1) == constant_den
+    grid_a, grid_b, values = _coarse_grid(obj)
+    ref_a, ref_b, ref = _coarse_grid(lambda coord, fixed: obj(coord, fixed))
+    assert np.array_equal(grid_a, ref_a) and np.array_equal(grid_b, ref_b)
+    assert_allclose(values, ref, rtol=1e-12, atol=1e-12 * np.max(ref))
+
+
+@pytest.mark.parametrize("name", list(_PILOT_OBJECTIVES))
+def test_acd_on_the_objective_matches_a_plain_callable(name):
+    """The FFT-built coarse grid starts the same descents as the row-by-row one."""
+    obj = _PILOT_OBJECTIVES[name]()
+    res = acd_2d(obj, AcdConfig(starts=4))
+    ref = acd_2d(lambda coord, fixed: obj(coord, fixed), AcdConfig(starts=4))
+    assert abs(wrap_angle(res.omega_a - ref.omega_a)) <= 1e-12
+    assert abs(wrap_angle(res.omega_b - ref.omega_b)) <= 1e-12
+    assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert len(res.history) == len(ref.history)
+    assert_allclose(res.history, ref.history, rtol=1e-12)
 
 
 # --- estimate_psi_hybrid --------------------------------------------------------
