@@ -176,14 +176,16 @@ def _run_one(cfg: CampaignConfig, pilot, snr_db: float, run_id: int) -> RunRecor
     seed = cfg.base_seed + run_id
     chan, h, n0 = _scene(cfg, pilot, snr_db, seed)
     est_cfg = replace(cfg.estimator, cp=replace(cfg.estimator.cp, seed=seed + _SOLVER_SEED_OFFSET))
-    t0 = time.perf_counter()
+    t0 = None
     try:
-        result = _estimate(cfg, pilot, _observe(cfg, pilot, h, n0, seed + _NOISE_SEED_OFFSET), est_cfg)
+        obs = _observe(cfg, pilot, h, n0, seed + _NOISE_SEED_OFFSET)
+        t0 = time.perf_counter()
+        result = _estimate(cfg, pilot, obs, est_cfg)
         total_ms = 1e3 * (time.perf_counter() - t0)
         l_hat, rel_err, error = result.l_hat, relative_error(h, result.h_hat), ""
         cp_ms, mdl_ms, paths_ms = (1e3 * result.timings[k] for k in ("cp", "model_order", "per_path_total"))
     except Exception as exc:
-        total_ms = 1e3 * (time.perf_counter() - t0)
+        total_ms = 0.0 if t0 is None else 1e3 * (time.perf_counter() - t0)
         l_hat, rel_err, error = -1, 1.0, f"{type(exc).__name__}: {exc}"
         cp_ms = mdl_ms = paths_ms = 0.0
     return RunRecord(run_id, float(snr_db), chan.l, l_hat, rel_err, total_ms, cp_ms, mdl_ms, paths_ms, seed, error)

@@ -11,6 +11,11 @@ draws. The default runs restarts 0 and 1. Every mode update solves the
 unfolded normal equations through a pseudoinverse of the Hermitian Gram
 Hadamard product, whose eigenvalues are floored at 1e-12 times the largest.
 
+Both algebraic inits start from the left singular vectors of the three
+unfoldings (:func:`~cpchan.tensors.left_svd`, which never forms the right
+ones). The estimators hand over the vectors that model-order detection
+already computed, so each unfolding is decomposed once per estimate.
+
 One sweep forms a single Khatri-Rao product, for the mode-0 MTTKRP (the
 matricized-tensor-times-Khatri-Rao product). The mode-1 and mode-2 MTTKRPs
 contract ``conj(A)^T`` times the mode-0 unfolding instead. The Gram of each
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import cp_compose, frobenius, khatri_rao, unfold
+from .tensors import cp_compose, frobenius, khatri_rao, left_svd, unfold
 
 __all__ = ["CpFactors", "CpSolveConfig", "DegenerateComponentError", "cp_als", "normalize_factors"]
 
@@ -108,7 +113,7 @@ def _floored_pinv(g: np.ndarray) -> np.ndarray:
 def _svd_bases(unfoldings: list[np.ndarray]) -> list[np.ndarray]:
     """Left singular vectors of each unfolding, dominant first; shared by the
     SVD and the GEVD inits."""
-    return [np.linalg.svd(m, full_matrices=False)[0] for m in unfoldings]
+    return [left_svd(m)[0] for m in unfoldings]
 
 
 def _svd_init(bases: list[np.ndarray], rank: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -198,7 +203,9 @@ def _als_run(
     return [a, b, c], history
 
 
-def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
+def cp_als(
+    t: np.ndarray, cfg: CpSolveConfig, bases: list[np.ndarray] | None = None
+) -> tuple[CpFactors, list[float]]:
     """Best-of-restarts rank-``cfg.rank`` CP decomposition of ``t``.
 
     Restart 0 starts from the SVD init, restart 1 from the GEVD init where it
@@ -208,6 +215,10 @@ def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
     residual-ratio history. Deterministic for a given ``cfg.seed``. A restart
     whose init or least-squares subproblem degenerates is abandoned and
     redrawn at random; only if every restart fails is an error raised.
+
+    ``bases`` are the left singular vectors of the three unfoldings of ``t``,
+    dominant first, as :class:`~cpchan.modelorder.MdlReport` holds them;
+    ``None`` computes them here, with the same result.
     """
     t = np.asarray(t, dtype=complex)
     if t.ndim != 3:
@@ -223,7 +234,10 @@ def cp_als(t: np.ndarray, cfg: CpSolveConfig) -> tuple[CpFactors, list[float]]:
         raise ValueError("zero tensor has no CP decomposition")
 
     unfoldings = [unfold(t, mode) for mode in range(3)]
-    bases = _svd_bases(unfoldings)
+    if bases is None:
+        bases = _svd_bases(unfoldings)
+    elif [u.shape[0] for u in bases] != list(dims):
+        raise ValueError(f"bases of {[u.shape[0] for u in bases]} rows do not match dims {dims}")
     # The GEVD pencil needs rank-column mode-0 and mode-1 bases and two mode-2 slices.
     gevd = 2 <= cfg.rank <= min(dims[0], dims[1]) and dims[2] >= 2
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts * _ATTEMPTS_PER_RESTART)

@@ -248,7 +248,8 @@ def _path_estimates(factors: CpFactors, path_step, pilot, cfg: EstimatorConfig) 
 
 
 def _estimate(obs: np.ndarray, dims: SystemDims, path_step, pilot, cfg: EstimatorConfig) -> EstimationResult:
-    """Model order, CP-ALS, ``path_step`` on every component, gain sort and reconstruction."""
+    """Model order, CP-ALS from the unfolding bases model-order detection
+    computed, ``path_step`` on every component, gain sort and reconstruction."""
     timings: dict[str, float] = {}
     diagnostics: dict = {}
 
@@ -264,7 +265,7 @@ def _estimate(obs: np.ndarray, dims: SystemDims, path_step, pilot, cfg: Estimato
         return EstimationResult(0, ChannelParamSet([]), h_hat, timings, diagnostics)
 
     t0 = time.perf_counter()
-    factors, fit_history = cp_als(obs, replace(cfg.cp, rank=l_hat))
+    factors, fit_history = cp_als(obs, replace(cfg.cp, rank=l_hat), report.bases)
     timings["cp"] = time.perf_counter() - t0
     diagnostics["cp_fit"] = fit_history[-1]
 

@@ -1,5 +1,5 @@
-"""Dense complex tensor primitives: unfolding, vectorization, Khatri-Rao and
-rank-1 / CP composition.
+"""Dense complex tensor primitives: unfolding, vectorization, Khatri-Rao,
+rank-1 / CP composition and the left SVD of an unfolding.
 
 Conventions, fixed once and used everywhere in this package:
 
@@ -31,6 +31,7 @@ __all__ = [
     "rank1_compose",
     "cp_compose",
     "frobenius",
+    "left_svd",
 ]
 
 
@@ -121,3 +122,19 @@ def cp_compose(factors: Sequence[np.ndarray]) -> np.ndarray:
 def frobenius(t: np.ndarray) -> float:
     """Frobenius norm of a tensor of any order."""
     return float(np.linalg.norm(np.ravel(t)))
+
+
+def left_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and all singular values of a matrix, dominant
+    first, without the right singular vectors.
+
+    A wide matrix (rows < cols), such as every mode unfolding at paper dims,
+    is first reduced to its triangular QR factor (Chan's R-SVD, ACM TOMS
+    1982): with m^H = Q R, m = R^H Q^H, so the SVD of the square R^H has the
+    same U and s. A tall or square matrix takes the thin SVD directly.
+    """
+    m = np.asarray(m)
+    if m.shape[0] < m.shape[1]:
+        m = np.linalg.qr(m.conj().T, mode="r").conj().T
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u, s

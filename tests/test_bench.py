@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_campaign_failure_containment(tmp_path, monkeypatch):
     assert all(r.rel_err == 1.0 for r in records)
     assert all("forced failure" in r.error for r in records)
     assert all(r.l_hat == -1 for r in records)
+
+
+def test_receive_step_is_not_timed(tmp_path, monkeypatch):
+    real_observe = bench._observe
+
+    def slow_observe(*args):
+        time.sleep(0.2)
+        return real_observe(*args)
+
+    monkeypatch.setattr(bench, "_observe", slow_observe)
+    records, _ = bench.run_campaign(_small_campaign(tmp_path, runs=1))
+    assert records[0].error == ""
+    assert 0 < records[0].time_total_ms < 200
+
+
+def test_receive_failure_is_contained(tmp_path, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("receive failed")
+
+    monkeypatch.setattr(bench, "_observe", boom)
+    records, _ = bench.run_campaign(_small_campaign(tmp_path, runs=2))
+    for r in records:
+        assert (r.l_hat, r.rel_err, r.time_total_ms) == (-1, 1.0, 0.0)
+        assert r.error == "RuntimeError: receive failed"
 
 
 def test_campaign_parallel_matches_serial(tmp_path):

@@ -8,6 +8,7 @@ from cpchan import cpsolver
 from cpchan import simchannel as sc
 from cpchan import tensors as tl
 from cpchan.cpsolver import CpFactors, CpSolveConfig, DegenerateComponentError, cp_als, normalize_factors
+from cpchan.modelorder import estimate_model_order
 
 
 def _crandn(rng, *shape):
@@ -328,6 +329,27 @@ def test_single_restart_is_the_svd_run():
     unfoldings = [tl.unfold(t, mode) for mode in range(3)]
     svd = cpsolver._svd_init(cpsolver._svd_bases(unfoldings), 3, _attempt_rngs(cfg)[0])
     _assert_identical(cp_als(t, cfg), _best_of(t, cfg, [svd]))
+
+
+@pytest.mark.parametrize(
+    "dims, rank",
+    [
+        ((6, 7, 8), 3),  # every mode unfolds wide
+        ((40, 3, 4), 2),  # mode 0 unfolds tall
+    ],
+)
+def test_handed_bases_give_the_same_run(dims, rank):
+    """The bases model-order detection hands over are those ``cp_als``
+    computes itself, bit for bit."""
+    t = _noisy_cp(22, dims, rank)
+    cfg = CpSolveConfig(rank=rank, seed=8)
+    _assert_identical(cp_als(t, cfg, estimate_model_order(t).bases), cp_als(t, cfg))
+
+
+def test_bases_of_other_dims_rejected():
+    t = _noisy_cp(23, (6, 7, 8), 2)
+    with pytest.raises(ValueError, match="do not match"):
+        cp_als(t, CpSolveConfig(rank=2), estimate_model_order(t).bases[::-1])
 
 
 def test_second_restart_is_the_gevd_run():

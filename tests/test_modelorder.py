@@ -63,15 +63,21 @@ def test_all_ones_matrix_is_rank_one():
 
 
 def test_matches_reference_on_random_inputs():
-    for seed in range(20):
+    for (rows, cols), seed in itertools.product([(12, 48), (48, 12), (16, 16)], range(20)):
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(0, 5))
         m = (
-            _crandn(rng, 12, 48)
+            _crandn(rng, rows, cols)
             if rank == 0
-            else _lowrank_plus_noise(rng, 12, 48, rank, float(rng.uniform(15, 35)))
+            else _lowrank_plus_noise(rng, rows, cols, rank, float(rng.uniform(15, 35)))
         )
-        assert mdl_rank(m) == _mdl_reference(m)
+        assert mdl_rank(m) == _mdl_reference(m), (rows, cols, seed)
+    # Exactly rank 2: the tail eigenvalues are rounding, below the floor.
+    rng = np.random.default_rng(20)
+    m = _crandn(rng, 12, 2) @ _crandn(rng, 2, 48)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert np.all(s[2:] ** 2 < 1e-30 * s[0] ** 2)
+    assert mdl_rank(m) == _mdl_reference(m) == 2
 
 
 def test_scale_invariance():

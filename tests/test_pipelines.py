@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpchan import cpsolver, modelorder
 from cpchan import pipelines as pl
 from cpchan import simchannel as sc
 from cpchan import tensors as tl
@@ -490,6 +491,43 @@ def test_estimate_hybrid_256_subcarriers_within_budget():
     assert res.l_hat == 2
     assert tl.frobenius(h - res.h_hat) / tl.frobenius(h) <= 0.01
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("receiver", ["digital", "hybrid"])
+def test_each_unfolding_is_decomposed_once(monkeypatch, receiver):
+    """Model order and both CP inits share one left SVD of each unfolding, and
+    no SVD call takes a whole unfolding (every mode unfolds wide here)."""
+    chan = sc.draw_channel(sc.ChannelGenConfig(l=3, min_separation=0.5, seed=33))
+    if receiver == "digital":
+        dims = sc.SystemDims(16, 16, 16, 16)
+        pilot = sc.make_pilot_digital(dims, seed=0)
+        obs = sc.receive_digital(sc.channel_tensor(chan, dims), pilot, 0.0)[1]
+        estimate = pl.estimate_digital
+    else:
+        dims = _hybrid_dims()
+        pilot = sc.make_pilot_hybrid(dims, seed=0)
+        obs = sc.receive_hybrid(sc.channel_tensor(chan, dims), pilot, 0.0)
+        estimate = pl.estimate_hybrid
+    unfoldings = [tl.unfold(obs, mode).shape for mode in range(3)]
+    decomposed, svd_inputs = [], []
+    real_left_svd, real_svd = tl.left_svd, np.linalg.svd
+
+    def spy_left_svd(m):
+        decomposed.append(m.shape)
+        return real_left_svd(m)
+
+    def spy_svd(a, *args, **kwargs):
+        svd_inputs.append(np.shape(a)[-2:])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(modelorder, "left_svd", spy_left_svd)
+    monkeypatch.setattr(cpsolver, "left_svd", spy_left_svd)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    res = estimate(obs, pilot)
+    assert res.l_hat == 3  # rank 3 takes the GEVD restart too
+    assert sorted(decomposed) == sorted(unfoldings)
+    assert svd_inputs
+    assert not set(svd_inputs) & {shape[::k] for shape in unfoldings for k in (1, -1)}
 
 
 def test_estimate_hybrid_zero_observation():

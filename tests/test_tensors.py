@@ -1,7 +1,10 @@
-"""Tensor primitive tests: unfolding conventions, vectorization, composition."""
+"""Tensor primitive tests: unfolding conventions, vectorization, composition,
+the left SVD."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cpchan import tensors as tl
@@ -175,3 +178,28 @@ def test_permute_modes():
     p = tl.permute_modes(t, (1, 0, 2))
     assert p.shape == (4, 3, 5)
     assert p[2, 1, 3] == t[1, 2, 3]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    rank=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_left_svd_matches_the_full_svd(rows, cols, rank, seed):
+    """Wide, tall, square and rank-deficient matrices: the singular values of
+    the full SVD, and its leading left singular subspaces wherever the
+    singular values part."""
+    rng = np.random.default_rng(seed)
+    m = _crandn(rng, rows, rank) @ _crandn(rng, rank, cols)
+    u, s = tl.left_svd(m)
+    u_ref, s_ref, _ = np.linalg.svd(m, full_matrices=False)
+    assert u.shape == u_ref.shape and s.shape == s_ref.shape
+    assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref[0])
+    assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+    for k in range(1, s.size):
+        gap = s_ref[k - 1] - s_ref[k]
+        if gap > 1e-6 * s_ref[0]:
+            proj, proj_ref = u[:, :k] @ u[:, :k].conj().T, u_ref[:, :k] @ u_ref[:, :k].conj().T
+            assert np.linalg.norm(proj - proj_ref, 2) <= 1e-12 * s_ref[0] / gap
